@@ -1,13 +1,15 @@
 #include "ctmc/steady_state.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <span>
 
 #include "ctmc/qbd.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/reorder.hpp"
 #include "obs/obs.hpp"
 
 namespace tags::ctmc {
@@ -27,68 +29,15 @@ std::string_view to_string(SteadyStateMethod m) noexcept {
 
 namespace {
 
-/// Record the just-finished solve as this result's own attempt entry.
-void note_attempt(SteadyStateResult& res) {
-  SteadyStateAttempt a;
-  a.method = res.method_used;
-  a.iterations = res.iterations;
-  a.residual = res.residual;
-  a.converged = res.converged;
-  res.attempts.push_back(std::move(a));
-}
-
-/// A fast path the profitability gate declined without running: zero
-/// iterations, never converged, but present in the attempt list with the
-/// detector's verdict so "why didn't it fire?" is answerable downstream.
-[[nodiscard]] SteadyStateAttempt gated_attempt(SteadyStateMethod m, const char* reason) {
-  SteadyStateAttempt a;
-  a.method = m;
-  a.gate_reason = reason;
-  return a;
-}
-
-/// The SolveRecord rendering of an attempt list: method names joined by
-/// commas, gate-declined entries suffixed "[gate:<reason>]".
-void append_attempts(obs::SolveRecord& rec, const std::vector<SteadyStateAttempt>& attempts) {
-  for (const SteadyStateAttempt& a : attempts) {
-    if (!rec.attempts.empty()) rec.attempts += ',';
-    rec.attempts += to_string(a.method);
-    if (!a.gate_reason.empty()) {
-      rec.attempts += "[gate:";
-      rec.attempts += a.gate_reason;
-      rec.attempts += ']';
-    }
-  }
-}
-
-/// Trace a kAuto transition from a failed method to the next one. `reason`
-/// distinguishes a raw convergence failure from a converged-but-uncertified
-/// result (certification escalation).
-void trace_fallback(SteadyStateMethod from, SteadyStateMethod to, double residual,
-                    const char* reason) {
-  obs::count("ctmc.steady_state.fallbacks");
-  if (std::string_view(reason) != "residual") {
-    obs::count("numerics.certify.escalations");
-  }
-  if (!obs::tracing_on()) return;
-  obs::TraceEvent ev;
-  ev.name = "steady_state.fallback";
-  ev.str.emplace_back("from", std::string(to_string(from)));
-  ev.str.emplace_back("to", std::string(to_string(to)));
-  ev.str.emplace_back("reason", reason);
-  ev.num.emplace_back("residual", residual);
-  obs::emit(std::move(ev));
-}
-
 using linalg::CooMatrix;
 using linalg::CsrMatrix;
 using linalg::index_t;
 using linalg::Vec;
 
 /// Everything the solvers need: the CSR generator plus exit-rate data
-/// cached off its diagonal. Built once per public steady_state call, so
-/// any representation that yields a CSR generator (classic Ctmc,
-/// GeneratorCtmc, a raw matrix) solves through the same path.
+/// cached off its diagonal. Built once per solved matrix, so any
+/// representation that yields a CSR generator (classic Ctmc, GeneratorCtmc,
+/// a raw matrix, one lane of a batch) solves through the same path.
 struct System {
   const CsrMatrix& q;
   Vec exit;         // -diagonal
@@ -101,7 +50,80 @@ struct System {
     }
   }
   [[nodiscard]] index_t n() const noexcept { return q.rows(); }
+  /// Residual and tolerance scale: rates make ||pi Q|| grow with them.
+  [[nodiscard]] double scale() const noexcept { return std::max(1.0, max_exit); }
 };
+
+/// What an entry's gate found, handed on to its solve.
+struct Gated {
+  bool pass = true;
+  const char* reason = "";  ///< the detector's verdict when !pass
+  QbdStructure qbd;
+  const linalg::NcdPartition* ncd = nullptr;
+  linalg::NcdPartition ncd_local;  ///< ncd points here when no cache is installed
+};
+
+/// A method's output before the attempt is checked: pi (empty when the
+/// method produced none, in which case `residual` is what gets reported),
+/// its iteration count, and dense LU's Hager condition estimate.
+struct Raw {
+  Vec pi;
+  int iterations = 0;
+  double residual = 0.0;
+  double condition = 0.0;
+};
+
+struct SolveInput {
+  const System& sys;
+  const SteadyStateOptions& opts;
+  const Gated& gated;
+  const Vec* guess;  ///< warm start; nullptr: cold
+  obs::Span& span;
+};
+
+using LaneSink = std::function<void(std::size_t lane, Raw raw)>;
+
+/// One row of the kAuto chain. kAuto walks the rows in order; an explicit
+/// opts.method runs the one row for that method with its gate open.
+struct Entry {
+  SteadyStateMethod method = SteadyStateMethod::kAuto;
+  const char* span = "";
+  /// kAuto only: whether the row belongs to this solve's chain at all (a
+  /// chain switch or a size window); nullptr: always. Rows outside it leave
+  /// no attempt.
+  bool (*in_chain)(index_t n, const SteadyStateOptions& opts) = nullptr;
+  /// Profitability gate; nullptr for none. A declined gate is recorded as
+  /// an attempt carrying its reason. `open` is set for an explicit request,
+  /// which runs the solve whatever the verdict.
+  void (*gate)(const CsrMatrix& q, const SteadyStateOptions& opts, bool open,
+               Gated& out) = nullptr;
+  /// The gate reads only the sparsity pattern, so one evaluation serves
+  /// every lane of a batch.
+  bool pattern_gate = false;
+  /// Acceptance: the recomputed residual must be <= this bound times
+  /// max(1, max exit rate); 0 means opts.tol times `tol_slack`.
+  double fixed_bound = 0.0;
+  double tol_slack = 1.0;
+  /// The result stays a candidate for later warm starts and for the answer
+  /// of a chain that nothing passed.
+  bool last_resort = false;
+  Raw (*solve)(const SolveInput& in) = nullptr;
+  /// Solves every lane of a batch at once, handing each lane's Raw to the
+  /// sink in lane order; nullptr for none. Returns false, touching no lane,
+  /// when the batch is too large or the structure does not fit.
+  bool (*batch)(const linalg::CsrValueBatch& vals, const Gated& gated,
+                const SteadyStateOptions& opts, const LaneSink& sink) = nullptr;
+  /// kAuto counters (nullptr: none): gate passed, accepted, fell through,
+  /// gate declined.
+  const char* on_run = nullptr;
+  const char* on_accept = nullptr;
+  const char* on_fallthrough = nullptr;
+  const char* on_decline = nullptr;
+};
+
+void count(const char* name) {
+  if (name != nullptr) obs::count(name);
+}
 
 /// ||pi Q||_inf via y = Q^T pi.
 double balance_residual(const CsrMatrix& qt, std::span<const double> pi, Vec& scratch) {
@@ -114,54 +136,168 @@ double balance_residual(const CsrMatrix& qt, std::span<const double> pi, Vec& sc
 /// checked finite, and probability mass is re-summed with compensation.
 /// `condition` carries the dense-LU path's Hager estimate (0 elsewhere).
 void certify_result(SteadyStateResult& res, const CsrMatrix& qt, const System& sys,
-                    const SteadyStateOptions& opts, double condition = 0.0) {
+                    const SteadyStateOptions& opts, double condition) {
   if (!opts.certify) return;
-  if (res.pi.size() != static_cast<std::size_t>(sys.n())) return;  // no solution
   const obs::Span span("solve/certify");
   linalg::CertifyOptions c = opts.certify_opts;
-  c.residual_bound *= std::max(1.0, sys.max_exit);
+  c.residual_bound *= sys.scale();
   const Vec zero(res.pi.size(), 0.0);
   res.certificate = linalg::certify_solution(qt, res.pi, zero, c, condition);
 }
 
 /// The acceptance test the kAuto chain escalates on: converged by the
-/// solver's own criterion AND certified (when certification is enabled).
+/// entry's own bound AND certified (when certification is enabled).
 bool accepted(const SteadyStateResult& res, const SteadyStateOptions& opts) {
   return res.converged && (!opts.certify || res.certificate.ok());
 }
 
-/// Why the chain moved on — for the fallback trace.
-const char* fallback_reason(const SteadyStateResult& res) {
-  return res.converged ? "certification" : "residual";
+/// Check a method's output the same way for every entry and every lane:
+/// recompute the balance residual from the chain's own transpose, apply the
+/// entry's acceptance bound, and certify.
+SteadyStateResult check(const Entry& e, Raw raw, const System& sys,
+                        const SteadyStateOptions& opts) {
+  SteadyStateResult res;
+  res.method_used = e.method;
+  res.iterations = raw.iterations;
+  res.residual = raw.residual;
+  if (raw.pi.size() != static_cast<std::size_t>(sys.n())) return res;  // no solution
+  res.pi = std::move(raw.pi);
+  const CsrMatrix& qt = sys.q.transpose_cache();
+  Vec scratch(res.pi.size());
+  res.residual = balance_residual(qt, res.pi, scratch);
+  const double bound = e.fixed_bound > 0.0 ? e.fixed_bound * sys.scale()
+                                           : opts.tol * sys.scale() * e.tol_slack;
+  res.converged = std::isfinite(res.residual) && res.residual <= bound;
+  certify_result(res, qt, sys, opts, raw.condition);
+  return res;
 }
 
-Vec initial_vector(const System& sys, const SteadyStateOptions& opts) {
+[[nodiscard]] SteadyStateAttempt attempt_of(const SteadyStateResult& res) {
+  SteadyStateAttempt a;
+  a.method = res.method_used;
+  a.iterations = res.iterations;
+  a.residual = res.residual;
+  a.converged = res.converged;
+  return a;
+}
+
+/// Run one entry: timer, span, solve, check.
+SteadyStateResult attempt(const Entry& e, const System& sys, const SteadyStateOptions& opts,
+                          const Gated& gated, const Vec* guess) {
+  const obs::ScopedTimer timer(to_string(e.method));
+  obs::Span span(e.span);
+  span.attr("n", static_cast<double>(sys.n()));
+  SteadyStateResult res = check(e, e.solve({sys, opts, gated, guess, span}), sys, opts);
+  span.attr("iterations", static_cast<double>(res.iterations));
+  span.attr("residual", res.residual);
+  span.attr("converged", res.converged ? 1.0 : 0.0);
+  return res;
+}
+
+/// The SolveRecord of one finished steady-state solve, scalar or batch lane.
+void record(const SteadyStateResult& res, const System& sys, std::uint64_t start_ns) {
+  if (!obs::metrics_on()) return;
+  obs::count("ctmc.steady_state.solves");
+  obs::SolveRecord rec;
+  rec.context = "steady_state";
+  rec.method = to_string(res.method_used);
+  rec.n = sys.n();
+  rec.iterations = res.iterations;
+  rec.residual = res.residual;
+  rec.relative_residual = res.residual / sys.scale();
+  rec.converged = res.converged;
+  rec.diverged = !std::isfinite(res.residual);
+  rec.certified = res.certificate.ok();
+  rec.condition = res.certificate.condition;
+  rec.wall_ms = static_cast<double>(obs::now_ns() - start_ns) / 1e6;
+  // Method names joined by commas, gate-declined entries suffixed
+  // "[gate:<reason>]".
+  for (const SteadyStateAttempt& a : res.attempts) {
+    if (!rec.attempts.empty()) rec.attempts += ',';
+    rec.attempts += to_string(a.method);
+    if (!a.gate_reason.empty()) {
+      rec.attempts += "[gate:";
+      rec.attempts += a.gate_reason;
+      rec.attempts += ']';
+    }
+  }
+  obs::record_solve(std::move(rec));
+}
+
+/// A failed attempt whose fallback event waits for the next method that
+/// actually runs.
+struct Fallback {
+  SteadyStateMethod from;
+  double residual;
+  const char* reason;  ///< "residual" or "certification"
+};
+
+void trace_fallback(const Fallback& f, SteadyStateMethod to) {
+  obs::count("ctmc.steady_state.fallbacks");
+  if (std::string_view(f.reason) != "residual") {
+    obs::count("numerics.certify.escalations");
+  }
+  if (!obs::tracing_on()) return;
+  obs::TraceEvent ev;
+  ev.name = "steady_state.fallback";
+  ev.str.emplace_back("from", std::string(to_string(f.from)));
+  ev.str.emplace_back("to", std::string(to_string(to)));
+  ev.str.emplace_back("reason", f.reason);
+  ev.num.emplace_back("residual", f.residual);
+  obs::emit(std::move(ev));
+}
+
+/// Where a solve stands in the chain: the next entry to try, the attempts
+/// so far and a fallback not yet traced. A batch lane the batched entry did
+/// not accept resumes the scalar loop from its state.
+struct ChainState {
+  std::size_t next = 0;
+  std::vector<SteadyStateAttempt> attempts;
+  std::optional<Fallback> pending;
+
+  /// Book a finished attempt. Returns true when it ends the solve: always
+  /// for an explicit request, on acceptance in kAuto.
+  bool settle(const Entry& e, const SteadyStateResult& res, const SteadyStateOptions& opts,
+              std::size_t index) {
+    attempts.push_back(attempt_of(res));
+    if (opts.method != SteadyStateMethod::kAuto) return true;
+    if (accepted(res, opts)) {
+      count(e.on_accept);
+      return true;
+    }
+    count(e.on_fallthrough);
+    pending = Fallback{e.method, res.residual, res.converged ? "certification" : "residual"};
+    next = index + 1;
+    return false;
+  }
+
+  void decline(const Entry& e, const char* reason, std::size_t index) {
+    count(e.on_decline);
+    SteadyStateAttempt a;
+    a.method = e.method;
+    a.gate_reason = reason;
+    attempts.push_back(std::move(a));
+    next = index + 1;
+  }
+};
+
+// --- the methods ----------------------------------------------------------
+
+Vec initial_vector(const System& sys, const Vec* guess) {
   const std::size_t n = static_cast<std::size_t>(sys.n());
-  if (opts.initial_guess && opts.initial_guess->size() == n) {
-    Vec pi = *opts.initial_guess;
+  if (guess != nullptr && guess->size() == n) {
+    Vec pi = *guess;
     for (double& v : pi) v = std::max(v, 0.0);
     if (linalg::normalize_l1(pi) > 0.0) return pi;
   }
   return Vec(n, 1.0 / static_cast<double>(n));
 }
 
-/// Stamp the per-attempt span with the outcome every solver reports.
-void close_attempt_span(obs::Span& span, const SteadyStateResult& res) {
-  span.attr("iterations", static_cast<double>(res.iterations));
-  span.attr("residual", res.residual);
-  span.attr("converged", res.converged ? 1.0 : 0.0);
-}
-
-SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("dense-lu");
-  obs::Span span("solve/dense-lu");
-  span.attr("n", static_cast<double>(sys.n()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kDenseLu;
-  const std::size_t n = static_cast<std::size_t>(sys.n());
+Raw solve_dense_lu(const SolveInput& in) {
+  const std::size_t n = static_cast<std::size_t>(in.sys.n());
   // A = Q^T with the last balance equation replaced by sum(pi) = 1.
   linalg::DenseMatrix a(n, n);
-  const CsrMatrix& q = sys.q;
+  const CsrMatrix& q = in.sys.q;
   for (index_t i = 0; i < q.rows(); ++i) {
     const auto cs = q.row_cols(i);
     const auto vs = q.row_vals(i);
@@ -170,50 +306,32 @@ SteadyStateResult solve_dense_lu(const System& sys, const SteadyStateOptions& op
     }
   }
   for (std::size_t j = 0; j < n; ++j) a(n - 1, j) = 1.0;
-  const double a_norm1 = opts.certify ? linalg::norm1(a) : 0.0;
+  const double a_norm1 = in.opts.certify ? linalg::norm1(a) : 0.0;
   Vec b(n, 0.0);
   b[n - 1] = 1.0;
   const linalg::LuFactorization f = linalg::lu_factor(std::move(a));
-  if (f.singular()) {
-    note_attempt(res);
-    close_attempt_span(span, res);
-    return res;
-  }
+  if (f.singular()) return {};
+  Raw out;
   // The direct path is the one place a condition estimate is nearly free:
   // Hager's iteration is a handful of O(n^2) triangular solves on a
   // factorization we already hold.
-  const double condition = opts.certify ? linalg::condest_1(a_norm1, f) : 0.0;
-  res.pi = f.solve(b);
-  for (double& v : res.pi) v = std::max(v, 0.0);
-  linalg::normalize_l1(res.pi);
-  Vec scratch(n);
-  const CsrMatrix& qt = q.transpose_cache();
-  res.residual = balance_residual(qt, res.pi, scratch);
-  res.converged = std::isfinite(res.residual) &&
-                  res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
-  res.iterations = 1;
-  certify_result(res, qt, sys, opts, condition);
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
+  out.condition = in.opts.certify ? linalg::condest_1(a_norm1, f) : 0.0;
+  out.pi = f.solve(b);
+  for (double& v : out.pi) v = std::max(v, 0.0);
+  linalg::normalize_l1(out.pi);
+  out.iterations = 1;
+  return out;
 }
 
-SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("gauss-seidel");
-  obs::Span span("solve/gauss-seidel");
-  span.attr("n", static_cast<double>(sys.n()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kGaussSeidel;
-  const std::size_t n = static_cast<std::size_t>(sys.n());
+Raw solve_gauss_seidel(const SolveInput& in) {
+  const System& sys = in.sys;
   const CsrMatrix& qt = sys.q.transpose_cache();
   const Vec& exit = sys.exit;
-  // Residuals of pi*Q scale with the transition rates; make the tolerance
-  // relative so stiff chains (huge timer rates) converge sensibly.
-  const double tol = opts.tol * std::max(1.0, sys.max_exit);
-
-  Vec pi = initial_vector(sys, opts);
-  Vec scratch(n);
-  for (res.iterations = 0; res.iterations < opts.max_iter; ++res.iterations) {
+  const double tol = in.opts.tol * sys.scale();
+  Raw out;
+  Vec pi = initial_vector(sys, in.guess);
+  Vec scratch(pi.size());
+  for (out.iterations = 0; out.iterations < in.opts.max_iter; ++out.iterations) {
     // One sweep of pi_j = sum_{i != j} pi_i q_ij / exit_j.
     for (index_t j = 0; j < qt.rows(); ++j) {
       const std::size_t ju = static_cast<std::size_t>(j);
@@ -227,37 +345,25 @@ SteadyStateResult solve_gauss_seidel(const System& sys, const SteadyStateOptions
       pi[ju] = inflow / exit[ju];
     }
     linalg::normalize_l1(pi);
-    if ((res.iterations & 15) == 15 || res.iterations + 1 == opts.max_iter) {
-      res.residual = balance_residual(qt, pi, scratch);
-      obs::trace_iteration("steady.gauss-seidel", res.iterations, res.residual);
-      if (res.residual <= tol) {
-        res.converged = true;
-        ++res.iterations;
+    if ((out.iterations & 15) == 15 || out.iterations + 1 == in.opts.max_iter) {
+      const double residual = balance_residual(qt, pi, scratch);
+      obs::trace_iteration("steady.gauss-seidel", out.iterations, residual);
+      if (residual <= tol) {
+        ++out.iterations;
         break;
       }
     }
   }
-  res.residual = balance_residual(qt, pi, scratch);
-  res.converged = res.residual <= tol;
-  res.pi = std::move(pi);
-  certify_result(res, qt, sys, opts);
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
+  out.pi = std::move(pi);
+  return out;
 }
 
-SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("power");
-  obs::Span span("solve/power");
-  span.attr("n", static_cast<double>(sys.n()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kPower;
-  const std::size_t n = static_cast<std::size_t>(sys.n());
-  const CsrMatrix& q = sys.q;
-  const CsrMatrix& qt = q.transpose_cache();
+Raw solve_power(const SolveInput& in) {
+  const System& sys = in.sys;
+  const CsrMatrix& qt = sys.q.transpose_cache();
   // Strictly greater than the max exit rate so the DTMC is aperiodic.
   const double lambda = sys.max_exit * 1.05 + 1e-12;
-  const double tol = opts.tol * std::max(1.0, sys.max_exit);
+  const double tol = in.opts.tol * sys.scale();
 
   // Pt = (I + Q/lambda)^T assembled directly from Q^T.
   CooMatrix coo(qt.rows(), qt.cols());
@@ -269,40 +375,30 @@ SteadyStateResult solve_power(const System& sys, const SteadyStateOptions& opts)
   }
   const CsrMatrix pt = CsrMatrix::from_coo(coo);
 
-  Vec pi = initial_vector(sys, opts);
-  Vec next(n);
-  Vec scratch(n);
-  for (res.iterations = 0; res.iterations < opts.max_iter; ++res.iterations) {
+  Raw out;
+  Vec pi = initial_vector(sys, in.guess);
+  Vec next(pi.size());
+  Vec scratch(pi.size());
+  for (out.iterations = 0; out.iterations < in.opts.max_iter; ++out.iterations) {
     pt.multiply(pi, next);
     linalg::normalize_l1(next);
     pi.swap(next);
-    if ((res.iterations & 15) == 15 || res.iterations + 1 == opts.max_iter) {
-      res.residual = balance_residual(qt, pi, scratch);
-      obs::trace_iteration("steady.power", res.iterations, res.residual);
-      if (res.residual <= tol) {
-        res.converged = true;
-        ++res.iterations;
+    if ((out.iterations & 15) == 15 || out.iterations + 1 == in.opts.max_iter) {
+      const double residual = balance_residual(qt, pi, scratch);
+      obs::trace_iteration("steady.power", out.iterations, residual);
+      if (residual <= tol) {
+        ++out.iterations;
         break;
       }
     }
   }
-  res.residual = balance_residual(qt, pi, scratch);
-  res.converged = res.residual <= tol;
-  res.pi = std::move(pi);
-  certify_result(res, qt, sys, opts);
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
+  out.pi = std::move(pi);
+  return out;
 }
 
-SteadyStateResult solve_gmres(const System& sys, const SteadyStateOptions& opts) {
-  const obs::ScopedTimer timer("gmres");
-  obs::Span span("solve/gmres");
-  span.attr("n", static_cast<double>(sys.n()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kGmres;
-  const std::size_t n = static_cast<std::size_t>(sys.n());
-  const CsrMatrix& q = sys.q;
+Raw solve_gmres(const SolveInput& in) {
+  const std::size_t n = static_cast<std::size_t>(in.sys.n());
+  const CsrMatrix& q = in.sys.q;
   // M = Q^T with the last row replaced by ones; M x = e_{n-1}.
   CooMatrix coo(static_cast<index_t>(n), static_cast<index_t>(n));
   for (index_t i = 0; i < q.rows(); ++i) {
@@ -319,275 +415,314 @@ SteadyStateResult solve_gmres(const System& sys, const SteadyStateOptions& opts)
 
   Vec b(n, 0.0);
   b[n - 1] = 1.0;
-  Vec x = initial_vector(sys, opts);
-  const double tol = opts.tol * std::max(1.0, sys.max_exit);
+  Raw out;
+  out.pi = initial_vector(in.sys, in.guess);
   linalg::SolveOptions sopts;
-  sopts.tol = tol;  // relative target, consistent with the balance check
-  sopts.max_iter = opts.max_iter;
+  sopts.tol = in.opts.tol * in.sys.scale();  // relative, like the balance check
+  sopts.max_iter = in.opts.max_iter;
   sopts.restart = 120;
   // The D+L forward solve is the decisive preconditioner for these
   // nearly singular balance systems (plain Jacobi stagnates).
   sopts.precond = linalg::Preconditioner::kGaussSeidel;
-  const linalg::SolveResult sr = linalg::gmres(m, b, x, sopts);
-  res.iterations = sr.iterations;
-  for (double& v : x) v = std::max(v, 0.0);
-  linalg::normalize_l1(x);
-  Vec scratch(n);
-  const CsrMatrix& qt = q.transpose_cache();
-  res.residual = balance_residual(qt, x, scratch);
-  res.converged = res.residual <= tol * 10.0;  // allow slack vs linear tol
-  res.pi = std::move(x);
-  certify_result(res, qt, sys, opts);
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
+  out.iterations = linalg::gmres(m, b, out.pi, sopts).iterations;
+  for (double& v : out.pi) v = std::max(v, 0.0);
+  linalg::normalize_l1(out.pi);
+  return out;
 }
 
 /// Direct solve on the generator's BFS level (QBD) structure. Exact like
 /// dense LU but with per-level dense blocks, so cost scales with the level
 /// width, not the chain size. A structural failure (edge skipping a level,
-/// singular Schur complement) yields an unconverged result with an
-/// infinite residual — the kAuto chain treats it like any divergence.
-SteadyStateResult solve_level_qbd(const System& sys, const SteadyStateOptions& opts,
-                                  const QbdStructure& structure) {
-  const obs::ScopedTimer timer("level-qbd");
-  obs::Span span("solve/level-qbd");
-  span.attr("n", static_cast<double>(sys.n()));
-  span.attr("max_block", static_cast<double>(structure.max_block));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kLevelQbd;
-  res.residual = std::numeric_limits<double>::infinity();
+/// singular Schur complement) yields no pi and an infinite residual.
+Raw solve_level_qbd(const SolveInput& in) {
+  const QbdStructure& s = in.gated.qbd;
+  in.span.attr("max_block", static_cast<double>(s.max_block));
+  Raw out;
+  out.residual = std::numeric_limits<double>::infinity();
   Vec pi;
-  if (structure.usable() && qbd_steady_state(sys.q, structure, pi)) {
-    res.pi = std::move(pi);
-    Vec scratch(res.pi.size());
-    const CsrMatrix& qt = sys.q.transpose_cache();
-    res.residual = balance_residual(qt, res.pi, scratch);
-    res.converged = std::isfinite(res.residual) &&
-                    res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
-    res.iterations = 1;
-    certify_result(res, qt, sys, opts);
+  if (s.usable() && qbd_steady_state(in.sys.q, s, pi)) {
+    out.pi = std::move(pi);
+    out.iterations = 1;
   }
-  note_attempt(res);
-  close_attempt_span(span, res);
-  return res;
+  return out;
 }
 
-/// NCD aggregation-disaggregation on a precomputed partition — the
-/// iterative sibling of solve_level_qbd: the solver's own convergence
-/// claim is re-checked against an independently recomputed balance
-/// residual, and the certificate still decides acceptance in kAuto.
-SteadyStateResult solve_ncd_ad(const System& sys, const SteadyStateOptions& opts,
-                               const linalg::NcdPartition& part) {
-  const obs::ScopedTimer timer("ncd-ad");
-  obs::Span span("solve/ncd-ad");
-  span.attr("n", static_cast<double>(sys.n()));
-  span.attr("blocks", static_cast<double>(part.n_blocks()));
-  SteadyStateResult res;
-  res.method_used = SteadyStateMethod::kNcdAd;
-  res.residual = std::numeric_limits<double>::infinity();
+/// NCD aggregation-disaggregation on the gate's partition; the solver's
+/// own convergence claim is re-checked like every other method's.
+Raw solve_ncd_ad(const SolveInput& in) {
+  const linalg::NcdPartition& part = *in.gated.ncd;
+  in.span.attr("blocks", static_cast<double>(part.n_blocks()));
   linalg::NcdSolveOptions so;
-  so.tol = opts.tol * std::max(1.0, sys.max_exit);  // relative, like the sweeps
-  so.initial_guess = opts.initial_guess;
-  linalg::NcdSolveResult r = linalg::ncd_steady_state(sys.q, part, so);
+  so.tol = in.opts.tol * in.sys.scale();  // relative, like the sweeps
+  if (in.guess != nullptr) so.initial_guess = *in.guess;
+  linalg::NcdSolveResult r = linalg::ncd_steady_state(in.sys.q, part, so);
+  Raw out;
+  out.residual = std::numeric_limits<double>::infinity();
   if (!r.pi.empty()) {
-    res.pi = std::move(r.pi);
-    res.iterations = r.outer;
-    Vec scratch(res.pi.size());
-    const CsrMatrix& qt = sys.q.transpose_cache();
-    res.residual = balance_residual(qt, res.pi, scratch);
-    res.converged = std::isfinite(res.residual) && res.residual <= so.tol;
-    certify_result(res, qt, sys, opts);
+    out.pi = std::move(r.pi);
+    out.iterations = r.outer;
   }
-  note_attempt(res);
-  close_attempt_span(span, res);
+  return out;
+}
+
+// --- batched solves -------------------------------------------------------
+
+bool batch_level_qbd(const linalg::CsrValueBatch& vals, const Gated& gated,
+                     const SteadyStateOptions& /*opts*/, const LaneSink& sink) {
+  const QbdStructure& s = gated.qbd;
+  // Detection and the elimination plan are pattern-only, so one detect and
+  // one plan serve every lane.
+  if (!s.usable() || s.factor_doubles * vals.width() > QbdOptions{}.max_factor_doubles) {
+    return false;
+  }
+  const QbdPlan plan = make_qbd_plan(vals.pattern(), s);
+  if (!plan.ok) return false;
+  std::vector<Vec> pis(vals.width());
+  const std::vector<unsigned char> ok = qbd_steady_state_batch(s, plan, vals, pis);
+  for (std::size_t b = 0; b < vals.width(); ++b) {
+    Raw raw;
+    raw.residual = std::numeric_limits<double>::infinity();
+    if (ok[b]) {
+      raw.pi = std::move(pis[b]);
+      raw.iterations = 1;
+    }
+    sink(b, std::move(raw));
+  }
+  return true;
+}
+
+/// Storage cap for the batched dense factorisation (doubles). Above this
+/// the lanes solve one by one through the scalar path instead — same bits,
+/// just without the lockstep speedup.
+constexpr std::size_t kDenseBatchCapDoubles = 16ull << 20;  // 128 MiB
+
+bool batch_dense_lu(const linalg::CsrValueBatch& vals, const Gated& /*gated*/,
+                    const SteadyStateOptions& opts, const LaneSink& sink) {
+  const CsrMatrix& pattern = vals.pattern();
+  const std::size_t n = static_cast<std::size_t>(pattern.rows());
+  const std::size_t w = vals.width();
+  if (n * n * w > kDenseBatchCapDoubles) return false;
+  obs::Span span("solve/dense-lu-batch");
+  span.attr("n", static_cast<double>(n));
+  span.attr("width", static_cast<double>(w));
+  // A_b = Q_b^T with the last balance row replaced by ones, assembled
+  // lane-interleaved straight from the shared pattern.
+  std::vector<double> a(n * n * w, 0.0);
+  const double* v = vals.values().data();
+  const index_t* cbase = pattern.row_cols(0).data();
+  for (index_t i = 0; i < pattern.rows(); ++i) {
+    const auto cs = pattern.row_cols(i);
+    const std::size_t base = static_cast<std::size_t>(cs.data() - cbase);
+    for (std::size_t k = 0; k < cs.size(); ++k) {
+      double* dst =
+          a.data() + (static_cast<std::size_t>(cs[k]) * n + static_cast<std::size_t>(i)) * w;
+      const double* ev = v + (base + k) * w;
+      for (std::size_t b = 0; b < w; ++b) dst[b] = ev[b];
+    }
+  }
+  double* last = a.data() + (n - 1) * n * w;
+  for (std::size_t j = 0; j < n * w; ++j) last[j] = 1.0;
+  // Per-lane ||A||_1 before factoring, in linalg::norm1's exact
+  // accumulation order (column-major sums, rows ascending).
+  std::vector<double> a_norm1(w, 0.0);
+  if (opts.certify) {
+    std::vector<double> col(w);
+    for (std::size_t j = 0; j < n; ++j) {
+      std::fill(col.begin(), col.end(), 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* e = a.data() + (i * n + j) * w;
+        for (std::size_t b = 0; b < w; ++b) col[b] += std::abs(e[b]);
+      }
+      for (std::size_t b = 0; b < w; ++b) a_norm1[b] = std::max(a_norm1[b], col[b]);
+    }
+  }
+  linalg::BatchLuFactorization f;
+  f.factor_packed(n, w, std::move(a));
+  for (std::size_t b = 0; b < w; ++b) {
+    Raw raw;
+    if (!f.singular(b)) {
+      // The extracted scalar factorization is bit-identical to lu_factor's,
+      // so the scalar substitution and Hager condition code run verbatim.
+      const linalg::LuFactorization lf = f.extract_lane(b);
+      raw.condition = opts.certify ? linalg::condest_1(a_norm1[b], lf) : 0.0;
+      Vec rhs(n, 0.0);
+      rhs[n - 1] = 1.0;
+      raw.pi = lf.solve(rhs);
+      for (double& x : raw.pi) x = std::max(x, 0.0);
+      linalg::normalize_l1(raw.pi);
+      raw.iterations = 1;
+    }
+    sink(b, std::move(raw));
+  }
+  return true;
+}
+
+// --- the table ------------------------------------------------------------
+
+void gate_level_qbd(const CsrMatrix& q, const SteadyStateOptions& opts, bool open,
+                    Gated& out) {
+  // An explicit request keeps only the structural requirement (connected
+  // block tridiagonal) and the memory cap.
+  QbdOptions qo;
+  qo.max_block = open && opts.structured_max_block <= 0 ? q.rows() : opts.structured_max_block;
+  out.qbd = detect_qbd(q, qo);
+  out.pass = out.qbd.usable();
+  out.reason = out.qbd.gate_reason;
+}
+
+void gate_ncd_ad(const CsrMatrix& q, const SteadyStateOptions& opts, bool /*open*/,
+                 Gated& out) {
+  // An explicit request skips the profitability verdict; the structural
+  // requirement (>= 2 blocks) is enforced by ncd_steady_state itself.
+  if (opts.ncd_cache) {
+    out.ncd = &opts.ncd_cache->partition(q, opts.ncd_opts);
+  } else {
+    out.ncd_local = linalg::detect_ncd(q, opts.ncd_opts);
+    out.ncd = &out.ncd_local;
+  }
+  out.pass = out.ncd->profitable;
+  out.reason = out.ncd->gate_reason;
+}
+
+constexpr double kDirectBound = 1e-6;
+
+// Order is the kAuto chain. Structured fast paths first (level-QBD, then
+// NCD aggregation-disaggregation for the weakly-coupled chains the QBD
+// bandwidth guard rejects), dense LU for small chains, then the iterative
+// last resorts: Gauss-Seidel, GMRES and power iteration, each warm-started
+// from the best of those before it.
+constexpr std::array<Entry, 6> kChain{{
+    {.method = SteadyStateMethod::kLevelQbd,
+     .span = "solve/level-qbd",
+     .in_chain = [](index_t, const SteadyStateOptions& o) { return o.structured; },
+     .gate = gate_level_qbd,
+     .pattern_gate = true,
+     .fixed_bound = kDirectBound,
+     .solve = solve_level_qbd,
+     .batch = batch_level_qbd,
+     .on_accept = "ctmc.steady_state.structured.used",
+     .on_fallthrough = "ctmc.steady_state.structured.fallthrough",
+     .on_decline = "ctmc.steady_state.structured.declined"},
+    // Chains below ncd_opts.min_states skip even the detection: the no-op
+    // must cost nothing and leave no attempt-list trace.
+    {.method = SteadyStateMethod::kNcdAd,
+     .span = "solve/ncd-ad",
+     .in_chain = [](index_t n, const SteadyStateOptions& o) {
+       return o.ncd && n >= o.ncd_opts.min_states;
+     },
+     .gate = gate_ncd_ad,
+     .solve = solve_ncd_ad,
+     .on_run = "ncd.gate.accepts",
+     .on_accept = "ncd.solves",
+     .on_fallthrough = "ncd.fallthroughs",
+     .on_decline = "ncd.gate.rejects"},
+    {.method = SteadyStateMethod::kDenseLu,
+     .span = "solve/dense-lu",
+     .in_chain = [](index_t n, const SteadyStateOptions&) {
+       return n <= linalg::kDenseSolveMaxStates;
+     },
+     .fixed_bound = kDirectBound,
+     .solve = solve_dense_lu,
+     .batch = batch_dense_lu},
+    {.method = SteadyStateMethod::kGaussSeidel,
+     .span = "solve/gauss-seidel",
+     .last_resort = true,
+     .solve = solve_gauss_seidel},
+    // GMRES's own target is opts.tol; it is accepted with 10x slack.
+    {.method = SteadyStateMethod::kGmres,
+     .span = "solve/gmres",
+     .tol_slack = 10.0,
+     .last_resort = true,
+     .solve = solve_gmres},
+    {.method = SteadyStateMethod::kPower,
+     .span = "solve/power",
+     .last_resort = true,
+     .solve = solve_power},
+}};
+
+/// The entries a solve walks: the whole chain for kAuto, otherwise the one
+/// entry of the requested method.
+std::span<const Entry> entries_for(SteadyStateMethod m) {
+  if (m == SteadyStateMethod::kAuto) return kChain;
+  const auto it = std::find_if(kChain.begin(), kChain.end(),
+                               [m](const Entry& e) { return e.method == m; });
+  return {&*it, 1};
+}
+
+/// Whether the entry takes part in this solve (explicit requests always).
+bool applies(const Entry& e, index_t n, const SteadyStateOptions& opts) {
+  return opts.method != SteadyStateMethod::kAuto || e.in_chain == nullptr ||
+         e.in_chain(n, opts);
+}
+
+/// The warm start for the next last resort: the lowest residual so far,
+/// the earliest on ties.
+const Vec* best_guess(const std::vector<SteadyStateResult>& tried) {
+  const SteadyStateResult* best = nullptr;
+  for (const SteadyStateResult& r : tried) {
+    if (best == nullptr || r.residual < best->residual) best = &r;
+  }
+  return best ? &best->pi : nullptr;
+}
+
+/// Walk the chain from `st.next`. The kAuto chain escalates on the
+/// *certificate*, not on the raw residual alone: a method that converged by
+/// its own bookkeeping but failed the independent check (non-finite
+/// entries, mass drift, hopeless condition estimate) falls through to the
+/// next entry exactly like a divergence.
+SteadyStateResult run_chain(const System& sys, const SteadyStateOptions& opts, ChainState st) {
+  const bool chain = opts.method == SteadyStateMethod::kAuto;
+  const std::span<const Entry> entries = entries_for(opts.method);
+  std::vector<SteadyStateResult> tried;  // last-resort results, in order
+  for (std::size_t i = st.next; i < entries.size(); ++i) {
+    const Entry& e = entries[i];
+    if (!applies(e, sys.n(), opts)) continue;
+    Gated gated;
+    if (e.gate != nullptr) {
+      e.gate(sys.q, opts, !chain, gated);
+      if (chain && !gated.pass) {
+        st.decline(e, gated.reason, i);
+        continue;
+      }
+    }
+    if (chain) count(e.on_run);
+    if (st.pending) {
+      trace_fallback(*st.pending, e.method);
+      st.pending.reset();
+    }
+    const Vec* guess = tried.empty() ? (opts.initial_guess ? &*opts.initial_guess : nullptr)
+                                     : best_guess(tried);
+    SteadyStateResult res = attempt(e, sys, opts, gated, guess);
+    if (st.settle(e, res, opts, i)) {
+      res.attempts = std::move(st.attempts);
+      return res;
+    }
+    if (e.last_resort) tried.push_back(std::move(res));
+  }
+  // The whole chain is exhausted and nothing passed: the caller gets the
+  // earliest last resort whose residual is <= every later one's, flagged.
+  // Uncertified results are visible, never silent.
+  obs::count("numerics.steady_state.uncertified_returns");
+  assert(!tried.empty());  // the last resorts always run in kAuto
+  const auto none_later_lower = [&](std::size_t i) {
+    return std::all_of(tried.begin() + i + 1, tried.end(), [&](const SteadyStateResult& r) {
+      return tried[i].residual <= r.residual;
+    });
+  };
+  std::size_t pick = 0;
+  while (pick + 1 < tried.size() && !none_later_lower(pick)) ++pick;
+  SteadyStateResult res = std::move(tried[pick]);
+  res.attempts = std::move(st.attempts);
   return res;
 }
 
-SteadyStateResult steady_state_impl(const System& sys, const SteadyStateOptions& opts) {
-  switch (opts.method) {
-    case SteadyStateMethod::kDenseLu: return solve_dense_lu(sys, opts);
-    case SteadyStateMethod::kGaussSeidel: return solve_gauss_seidel(sys, opts);
-    case SteadyStateMethod::kPower: return solve_power(sys, opts);
-    case SteadyStateMethod::kGmres: return solve_gmres(sys, opts);
-    case SteadyStateMethod::kLevelQbd: {
-      // Explicit request: the profitability gate is the caller's problem;
-      // only the structural requirement (connected block tridiagonal) and
-      // the memory cap still apply.
-      QbdOptions qo;
-      qo.max_block = opts.structured_max_block > 0 ? opts.structured_max_block : sys.n();
-      return solve_level_qbd(sys, opts, detect_qbd(sys.q, qo));
-    }
-    case SteadyStateMethod::kNcdAd: {
-      // Explicit request: skip the profitability gate; the structural
-      // requirement (>= 2 blocks) is enforced by ncd_steady_state itself,
-      // which bails unconverged on a trivial partition.
-      if (opts.ncd_cache) {
-        return solve_ncd_ad(sys, opts, opts.ncd_cache->partition(sys.q, opts.ncd_opts));
-      }
-      const linalg::NcdPartition part = linalg::detect_ncd(sys.q, opts.ncd_opts);
-      return solve_ncd_ad(sys, opts, part);
-    }
-    case SteadyStateMethod::kAuto: break;
-  }
-  // The kAuto chain escalates on the *certificate*, not on the raw residual
-  // alone: a method that converged by its own bookkeeping but failed the
-  // independent check (non-finite entries, mass drift, hopeless condition
-  // estimate) falls through to the next method exactly like a divergence.
-  std::vector<SteadyStateAttempt> chain_attempts;
-  const auto finish = [&](SteadyStateResult r) {
-    chain_attempts.insert(chain_attempts.end(), r.attempts.begin(), r.attempts.end());
-    r.attempts = std::move(chain_attempts);
-    return r;
-  };
-  // Structured fast path: when the generator is level-structured with
-  // levels narrow enough to pay off, the block-tridiagonal direct solver
-  // goes first. Its result is certified like every other attempt, so a
-  // misdetection (or a surprise singular block) degrades to the generic
-  // chain below rather than returning a wrong answer.
-  if (opts.structured) {
-    QbdOptions qo;
-    qo.max_block = opts.structured_max_block;
-    const QbdStructure structure = detect_qbd(sys.q, qo);
-    if (structure.usable()) {
-      SteadyStateResult res = solve_level_qbd(sys, opts, structure);
-      if (accepted(res, opts)) {
-        obs::count("ctmc.steady_state.structured.used");
-        return finish(std::move(res));
-      }
-      obs::count("ctmc.steady_state.structured.fallthrough");
-      trace_fallback(SteadyStateMethod::kLevelQbd,
-                     sys.n() <= 1200 ? SteadyStateMethod::kDenseLu
-                                     : SteadyStateMethod::kGaussSeidel,
-                     res.residual, fallback_reason(res));
-      chain_attempts.insert(chain_attempts.end(), res.attempts.begin(),
-                            res.attempts.end());
-    } else {
-      obs::count("ctmc.steady_state.structured.declined");
-      chain_attempts.push_back(
-          gated_attempt(SteadyStateMethod::kLevelQbd, structure.gate_reason));
-    }
-  }
-  // Second gated fast path: NCD aggregation-disaggregation, for the
-  // weakly-coupled chains the QBD bandwidth guard rejects. Chains below
-  // min_states skip even the detection — the dense/iterative chain is
-  // already quick there and the no-op must cost nothing (and leave no
-  // attempt-list trace, keeping small-chain behaviour bit-identical).
-  if (opts.ncd && sys.n() >= opts.ncd_opts.min_states) {
-    linalg::NcdPartition local;
-    const linalg::NcdPartition* part;
-    if (opts.ncd_cache) {
-      part = &opts.ncd_cache->partition(sys.q, opts.ncd_opts);
-    } else {
-      local = linalg::detect_ncd(sys.q, opts.ncd_opts);
-      part = &local;
-    }
-    if (part->profitable) {
-      obs::count("ncd.gate.accepts");
-      SteadyStateResult res = solve_ncd_ad(sys, opts, *part);
-      if (accepted(res, opts)) {
-        obs::count("ncd.solves");
-        return finish(std::move(res));
-      }
-      obs::count("ncd.fallthroughs");
-      trace_fallback(SteadyStateMethod::kNcdAd,
-                     sys.n() <= 1200 ? SteadyStateMethod::kDenseLu
-                                     : SteadyStateMethod::kGaussSeidel,
-                     res.residual, fallback_reason(res));
-      chain_attempts.insert(chain_attempts.end(), res.attempts.begin(),
-                            res.attempts.end());
-    } else {
-      obs::count("ncd.gate.rejects");
-      chain_attempts.push_back(
-          gated_attempt(SteadyStateMethod::kNcdAd, part->gate_reason));
-    }
-  }
-  if (sys.n() <= 1200) {
-    SteadyStateResult res = solve_dense_lu(sys, opts);
-    if (accepted(res, opts)) return finish(std::move(res));
-    trace_fallback(SteadyStateMethod::kDenseLu, SteadyStateMethod::kGaussSeidel,
-                   res.residual, fallback_reason(res));
-    chain_attempts.insert(chain_attempts.end(), res.attempts.begin(),
-                          res.attempts.end());
-  }
-  SteadyStateResult res = solve_gauss_seidel(sys, opts);
-  if (accepted(res, opts)) return finish(std::move(res));
-  trace_fallback(SteadyStateMethod::kGaussSeidel, SteadyStateMethod::kGmres,
-                 res.residual, fallback_reason(res));
-  chain_attempts.insert(chain_attempts.end(), res.attempts.begin(), res.attempts.end());
-  SteadyStateOptions warm = opts;
-  warm.initial_guess = res.pi;  // reuse partial progress
-  SteadyStateResult res2 = solve_gmres(sys, warm);
-  if (accepted(res2, opts)) return finish(std::move(res2));
-  trace_fallback(SteadyStateMethod::kGmres, SteadyStateMethod::kPower, res2.residual,
-                 fallback_reason(res2));
-  chain_attempts.insert(chain_attempts.end(), res2.attempts.begin(),
-                        res2.attempts.end());
-  warm.initial_guess = res2.residual < res.residual ? res2.pi : res.pi;
-  SteadyStateResult res3 = solve_power(sys, warm);
-  chain_attempts.insert(chain_attempts.end(), res3.attempts.begin(),
-                        res3.attempts.end());
-  const auto with_chain = [&](SteadyStateResult r) {
-    r.attempts = chain_attempts;
-    if (!accepted(r, opts)) {
-      // The whole chain is exhausted and nothing passed: the caller gets
-      // the best attempt, flagged. This is the "nothing landed in a table
-      // unchecked" guarantee — uncertified results are visible, not silent.
-      obs::count("numerics.steady_state.uncertified_returns");
-    }
-    return r;
-  };
-  if (accepted(res3, opts)) return with_chain(std::move(res3));
-  // Return the best attempt so callers can inspect the residual.
-  if (res.residual <= res2.residual && res.residual <= res3.residual) {
-    return with_chain(std::move(res));
-  }
-  return with_chain(std::move(res2.residual <= res3.residual ? res2 : res3));
-}
-
-}  // namespace
-
-SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOptions& opts) {
+/// The public solve, resumable: a batch lane enters with the state its
+/// batched attempt left.
+SteadyStateResult solve(const CsrMatrix& q, const SteadyStateOptions& opts, ChainState st) {
   assert(q.rows() > 0 && q.rows() == q.cols());
   obs::Span root_span("ctmc/steady_state");
   root_span.attr("n", static_cast<double>(q.rows()));
   root_span.attr("method", to_string(opts.method));
-  // PermutedSolve wrapper: solve P·Q·Pᵀ and carry π back. The certificate
-  // is computed on the permuted system, which is equivalent — residual
-  // inf-norms and probability mass are permutation-invariant.
-  if (opts.reorder == SteadyStateReorder::kRcm) {
-    const linalg::Permutation p = [&q] {
-      const obs::Span span("linalg/rcm_order");
-      return linalg::rcm_order(q);
-    }();
-    if (!p.is_identity()) {
-      obs::count("ctmc.steady_state.permuted_solves");
-      const linalg::CsrMatrix qp = [&q, &p] {
-        const obs::Span span("linalg/permute_symmetric");
-        return linalg::permute_symmetric(q, p);
-      }();
-      SteadyStateOptions inner = opts;
-      inner.reorder = SteadyStateReorder::kNone;
-      // The NCD partition cache is keyed on (rows, nnz), which the RCM-
-      // permuted system shares with the original; carrying it across the
-      // two state orders would hand the solver a mismatched partition.
-      // The permuted solve detects afresh instead.
-      inner.ncd_cache.reset();
-      if (inner.initial_guess &&
-          inner.initial_guess->size() == static_cast<std::size_t>(q.rows())) {
-        Vec guess(inner.initial_guess->size());
-        linalg::permute_vector(p, *inner.initial_guess, guess);
-        inner.initial_guess = std::move(guess);
-      }
-      SteadyStateResult res = steady_state(qp, inner);
-      if (res.pi.size() == p.size()) {
-        Vec orig(res.pi.size());
-        linalg::unpermute_vector(p, res.pi, orig);
-        res.pi = std::move(orig);
-      }
-      return res;
-    }
-  }
   const obs::ScopedTimer timer("ctmc/steady_state");
   const std::uint64_t start_ns = obs::now_ns();
   if (opts.initial_guess) {
@@ -596,82 +731,62 @@ SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOpti
                    : "ctmc.steady_state.warm_start.misses");
   }
   const System sys(q);
-  SteadyStateResult res = steady_state_impl(sys, opts);
+  SteadyStateResult res = run_chain(sys, opts, std::move(st));
   root_span.attr("method_used", to_string(res.method_used));
-  if (obs::metrics_on()) {
-    obs::count("ctmc.steady_state.solves");
-    obs::SolveRecord rec;
-    rec.context = "steady_state";
-    rec.method = to_string(res.method_used);
-    rec.n = q.rows();
-    rec.iterations = res.iterations;
-    rec.residual = res.residual;
-    rec.relative_residual = res.residual / std::max(1.0, sys.max_exit);
-    rec.converged = res.converged;
-    rec.diverged = !std::isfinite(res.residual);
-    rec.certified = res.certificate.ok();
-    rec.condition = res.certificate.condition;
-    rec.wall_ms = static_cast<double>(obs::now_ns() - start_ns) / 1e6;
-    append_attempts(rec, res.attempts);
-    obs::record_solve(std::move(rec));
-  }
+  record(res, sys, start_ns);
   return res;
+}
+
+/// Run the chain's leading batched entries across every lane at once. A
+/// lane an entry finishes lands in `out`; every other lane keeps in
+/// `lanes[b]` the state the scalar loop resumes from.
+void run_batched(const linalg::CsrValueBatch& vals, const SteadyStateOptions& opts,
+                 std::vector<SteadyStateResult>& out, std::vector<ChainState>& lanes,
+                 std::vector<unsigned char>& done) {
+  const CsrMatrix& pattern = vals.pattern();
+  const std::span<const Entry> entries = entries_for(opts.method);
+  std::size_t i = 0;
+  for (; i < entries.size(); ++i) {
+    const Entry& e = entries[i];
+    if (!applies(e, pattern.rows(), opts)) continue;
+    if (e.batch == nullptr || (e.gate != nullptr && !e.pattern_gate)) break;
+    Gated gated;
+    if (e.gate != nullptr) {
+      e.gate(pattern, opts, opts.method != SteadyStateMethod::kAuto, gated);
+      if (opts.method == SteadyStateMethod::kAuto && !gated.pass) {
+        for (ChainState& l : lanes) l.decline(e, gated.reason, i);
+        continue;
+      }
+    }
+    const bool ran = e.batch(vals, gated, opts, [&](std::size_t b, Raw raw) {
+      const std::uint64_t lane_start = obs::now_ns();
+      const CsrMatrix lane_q = vals.lane_matrix(b);
+      const System sys(lane_q);
+      SteadyStateResult res = check(e, std::move(raw), sys, opts);
+      if (!lanes[b].settle(e, res, opts, i)) return;
+      res.attempts = std::move(lanes[b].attempts);
+      // Wall time covers the lane's own finishing work; the shared
+      // factorisation is amortised across the batch and not attributed.
+      record(res, sys, lane_start);
+      out[b] = std::move(res);
+      done[b] = 1;
+    });
+    if (ran) return;
+    break;
+  }
+  for (ChainState& l : lanes) l.next = i;
+}
+
+}  // namespace
+
+SteadyStateResult steady_state(const linalg::CsrMatrix& q, const SteadyStateOptions& opts) {
+  return solve(q, opts, {});
 }
 
 SteadyStateResult steady_state(const Ctmc& chain, const SteadyStateOptions& opts) {
   assert(chain.n_states() > 0);
   return steady_state(chain.generator(), opts);
 }
-
-namespace {
-
-/// Finish one lane of a batched direct solve exactly the way the scalar
-/// solver finishes: clamp/normalise, recompute the balance residual from
-/// the lane's own transpose, apply the convergence test, stamp the
-/// per-point certificate. `lane_q` is the lane's standalone matrix, so
-/// every downstream bit equals the scalar path's.
-void finish_direct_lane(SteadyStateResult& res, const CsrMatrix& lane_q,
-                        const System& sys, const SteadyStateOptions& opts,
-                        double condition) {
-  Vec scratch(res.pi.size());
-  const CsrMatrix& qt = lane_q.transpose_cache();
-  res.residual = balance_residual(qt, res.pi, scratch);
-  res.converged = std::isfinite(res.residual) &&
-                  res.residual <= 1e-6 * std::max(1.0, sys.max_exit);
-  res.iterations = 1;
-  certify_result(res, qt, sys, opts, condition);
-  note_attempt(res);
-}
-
-/// Mirror of the public steady_state()'s SolveRecord emission for one lane
-/// of a batched solve; wall time covers the lane's own finishing work (the
-/// shared factorisation is amortised across the batch and not attributed).
-void record_batch_lane(const SteadyStateResult& res, index_t n, double max_exit,
-                       std::uint64_t start_ns) {
-  if (!obs::metrics_on()) return;
-  obs::count("ctmc.steady_state.solves");
-  obs::SolveRecord rec;
-  rec.context = "steady_state";
-  rec.method = to_string(res.method_used);
-  rec.n = n;
-  rec.iterations = res.iterations;
-  rec.residual = res.residual;
-  rec.relative_residual = res.residual / std::max(1.0, max_exit);
-  rec.converged = res.converged;
-  rec.diverged = !std::isfinite(res.residual);
-  rec.certified = res.certificate.ok();
-  rec.condition = res.certificate.condition;
-  rec.wall_ms = static_cast<double>(obs::now_ns() - start_ns) / 1e6;
-  append_attempts(rec, res.attempts);
-  obs::record_solve(std::move(rec));
-}
-
-/// Storage cap for the batched dense factorisation (doubles). Above this
-/// the lanes solve one by one through the scalar path instead — same bits,
-/// just without the lockstep speedup.
-constexpr std::size_t kDenseBatchCapDoubles = 16ull << 20;  // 128 MiB
-
-}  // namespace
 
 std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& vals,
                                                   const SteadyStateOptions& opts) {
@@ -680,178 +795,28 @@ std::vector<SteadyStateResult> steady_state_batch(const linalg::CsrValueBatch& v
   if (w == 0) return out;
   const CsrMatrix& pattern = vals.pattern();
   assert(pattern.rows() > 0 && pattern.rows() == pattern.cols());
-  const std::size_t n = static_cast<std::size_t>(pattern.rows());
   obs::Span root_span("ctmc/steady_state_batch");
-  root_span.attr("n", static_cast<double>(n));
+  root_span.attr("n", static_cast<double>(pattern.rows()));
   root_span.attr("width", static_cast<double>(w));
   root_span.attr("method", to_string(opts.method));
 
-  // Warm-start chaining in lane order: lane b starts from the last
-  // converged lane before it, exactly like consecutive points of a scalar
-  // sweep. Direct solves ignore the guess, but a lane that escalates to
-  // the iterative chain must see the guess the scalar sequence would have.
-  std::optional<Vec> guess = opts.initial_guess;
-  const auto scalar_lane = [&](std::size_t b) {
-    const CsrMatrix lane_q = vals.lane_matrix(b);
-    SteadyStateOptions lo = opts;
-    lo.initial_guess = guess;
-    SteadyStateResult r = steady_state(lane_q, lo);
-    if (r.converged) guess = r.pi;
-    return r;
-  };
-
-  // The batched path covers the direct solvers on the natural ordering;
-  // anything else (explicit iterative method, RCM wrapping) is inherently
-  // sequential per lane and simply runs the scalar solver lane by lane.
-  const bool direct_eligible =
-      opts.reorder == SteadyStateReorder::kNone &&
-      (opts.method == SteadyStateMethod::kAuto ||
-       opts.method == SteadyStateMethod::kLevelQbd ||
-       opts.method == SteadyStateMethod::kDenseLu);
-  if (!direct_eligible || w == 1) {
-    for (std::size_t b = 0; b < w; ++b) out[b] = scalar_lane(b);
-    return out;
-  }
-
+  std::vector<ChainState> lanes(w);
   std::vector<unsigned char> done(w, 0);
+  if (w > 1) run_batched(vals, opts, out, lanes, done);
 
-  // Structured (level-QBD) attempt. Detection and the elimination plan are
-  // pattern-only, so one detect + one plan serve every lane; the scalar
-  // solver would have reached the identical decision at each point.
-  const bool try_qbd = opts.method == SteadyStateMethod::kLevelQbd ||
-                       (opts.method == SteadyStateMethod::kAuto && opts.structured);
-  bool qbd_structured = false;  // the scalar chain would attempt level-QBD
-  const char* qbd_gate_reason = "";  // detector's verdict when it declined
-  if (try_qbd) {
-    QbdOptions qo;
-    qo.max_block = opts.method == SteadyStateMethod::kLevelQbd
-                       ? (opts.structured_max_block > 0 ? opts.structured_max_block
-                                                        : pattern.rows())
-                       : opts.structured_max_block;
-    const QbdStructure structure = detect_qbd(pattern, qo);
-    qbd_structured = structure.usable();
-    qbd_gate_reason = structure.gate_reason;
-    if (structure.usable() &&
-        structure.factor_doubles * w <= QbdOptions{}.max_factor_doubles) {
-      const QbdPlan plan = make_qbd_plan(pattern, structure);
-      if (plan.ok) {
-        std::vector<Vec> pis(w);
-        const std::vector<unsigned char> ok =
-            qbd_steady_state_batch(structure, plan, vals, pis);
-        for (std::size_t b = 0; b < w; ++b) {
-          if (!ok[b]) continue;  // scalar chain re-derives the failure
-          const std::uint64_t lane_start = obs::now_ns();
-          const CsrMatrix lane_q = vals.lane_matrix(b);
-          const System sys(lane_q);
-          SteadyStateResult res;
-          res.method_used = SteadyStateMethod::kLevelQbd;
-          res.pi = std::move(pis[b]);
-          finish_direct_lane(res, lane_q, sys, opts, 0.0);
-          // An explicit kLevelQbd request returns whatever the solver
-          // produced; kAuto only keeps lanes that pass certification and
-          // sends the rest through the scalar chain (which repeats the
-          // identical failing attempt, preserving the attempt list).
-          if (opts.method == SteadyStateMethod::kLevelQbd || accepted(res, opts)) {
-            if (opts.method == SteadyStateMethod::kAuto)
-              obs::count("ctmc.steady_state.structured.used");
-            record_batch_lane(res, pattern.rows(), sys.max_exit, lane_start);
-            out[b] = std::move(res);
-            done[b] = 1;
-          }
-        }
-      }
-    }
-  }
-
-  // Dense-LU batch: kAuto reaches it only when the scalar chain would not
-  // have attempted level-QBD first (a lane-level QBD failure escalates
-  // through the scalar chain instead, so its attempt list keeps the failed
-  // structured entry exactly like the scalar solver's), and only when the
-  // scalar chain would also have skipped NCD detection (chains at or above
-  // ncd_opts.min_states go through the scalar path so their attempt lists
-  // carry the NCD gate verdict — with default options that bound exceeds
-  // the 1200-state dense ceiling, so nothing changes here).
-  const bool try_dense =
-      opts.method == SteadyStateMethod::kDenseLu ||
-      (opts.method == SteadyStateMethod::kAuto && n <= 1200 && !qbd_structured &&
-       (!opts.ncd || pattern.rows() < opts.ncd_opts.min_states));
-  if (try_dense && n * n * w <= kDenseBatchCapDoubles) {
-    obs::Span span("solve/dense-lu-batch");
-    span.attr("n", static_cast<double>(n));
-    span.attr("width", static_cast<double>(w));
-    // A_b = Q_b^T with the last balance row replaced by ones, assembled
-    // lane-interleaved straight from the shared pattern.
-    std::vector<double> a(n * n * w, 0.0);
-    const double* v = vals.values().data();
-    const index_t* cbase = pattern.row_cols(0).data();
-    for (index_t i = 0; i < pattern.rows(); ++i) {
-      const auto cs = pattern.row_cols(i);
-      const std::size_t base = static_cast<std::size_t>(cs.data() - cbase);
-      for (std::size_t k = 0; k < cs.size(); ++k) {
-        double* dst =
-            a.data() + (static_cast<std::size_t>(cs[k]) * n + static_cast<std::size_t>(i)) * w;
-        const double* ev = v + (base + k) * w;
-        for (std::size_t b = 0; b < w; ++b) dst[b] = ev[b];
-      }
-    }
-    double* last = a.data() + (n - 1) * n * w;
-    for (std::size_t j = 0; j < n * w; ++j) last[j] = 1.0;
-    // Per-lane ||A||_1 before factoring, in linalg::norm1's exact
-    // accumulation order (column-major sums, rows ascending).
-    std::vector<double> a_norm1(w, 0.0);
-    if (opts.certify) {
-      std::vector<double> col(w);
-      for (std::size_t j = 0; j < n; ++j) {
-        std::fill(col.begin(), col.end(), 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          const double* e = a.data() + (i * n + j) * w;
-          for (std::size_t b = 0; b < w; ++b) col[b] += std::abs(e[b]);
-        }
-        for (std::size_t b = 0; b < w; ++b) a_norm1[b] = std::max(a_norm1[b], col[b]);
-      }
-    }
-    linalg::BatchLuFactorization f;
-    f.factor_packed(n, w, std::move(a));
-    for (std::size_t b = 0; b < w; ++b) {
-      if (done[b] || f.singular(b)) continue;  // singular: scalar chain re-derives
-      const std::uint64_t lane_start = obs::now_ns();
-      const CsrMatrix lane_q = vals.lane_matrix(b);
-      const System sys(lane_q);
-      SteadyStateResult res;
-      if (opts.method == SteadyStateMethod::kAuto && opts.structured) {
-        // The scalar chain records the declined level-QBD gate before the
-        // dense solve; mirror it so lane attempt lists stay bit-identical.
-        res.attempts.push_back(
-            gated_attempt(SteadyStateMethod::kLevelQbd, qbd_gate_reason));
-      }
-      res.method_used = SteadyStateMethod::kDenseLu;
-      // The extracted scalar factorization is bit-identical to lu_factor's,
-      // so the scalar substitution and Hager condition code run verbatim.
-      const linalg::LuFactorization lf = f.extract_lane(b);
-      const double condition = opts.certify ? linalg::condest_1(a_norm1[b], lf) : 0.0;
-      Vec rhs(n, 0.0);
-      rhs[n - 1] = 1.0;
-      res.pi = lf.solve(rhs);
-      for (double& x : res.pi) x = std::max(x, 0.0);
-      linalg::normalize_l1(res.pi);
-      finish_direct_lane(res, lane_q, sys, opts, condition);
-      if (opts.method == SteadyStateMethod::kDenseLu || accepted(res, opts)) {
-        record_batch_lane(res, pattern.rows(), sys.max_exit, lane_start);
-        out[b] = std::move(res);
-        done[b] = 1;
-      }
-    }
-  }
-
-  // Sweep the lanes in ascending order: completed lanes feed the warm-start
-  // chain, everything else runs the full scalar solver with the guess the
-  // scalar sequence would have carried to that point.
+  // Lanes in ascending order, warm-start chained like consecutive points of
+  // a scalar sweep: lane b starts from the last converged lane before it.
+  // Direct solves ignore the guess, but a lane that goes on to an iterative
+  // entry must see the guess the scalar sequence would have carried.
+  std::optional<Vec> guess = opts.initial_guess;
   for (std::size_t b = 0; b < w; ++b) {
-    if (done[b]) {
-      if (out[b].converged) guess = out[b].pi;
-      continue;
+    if (!done[b]) {
+      const CsrMatrix lane_q = vals.lane_matrix(b);
+      SteadyStateOptions lo = opts;
+      lo.initial_guess = guess;
+      out[b] = solve(lane_q, lo, std::move(lanes[b]));
     }
-    out[b] = scalar_lane(b);
+    if (out[b].converged) guess = out[b].pi;
   }
   return out;
 }

@@ -19,13 +19,28 @@
 //                   linalg/ncd.hpp); a handful of censored block sweeps plus
 //                   a coarse dense solve per pass when inter-block coupling
 //                   is weak, declined on strongly-coupled chains.
-//  * kAuto        — level-QBD when detection and its cost gate succeed,
-//                   then NCD aggregation-disaggregation when its coupling
-//                   gate accepts, then LU for small chains, otherwise
-//                   Gauss-Seidel with a GMRES fallback, then power iteration
-//                   as a last resort. Escalation is certificate-driven: a
-//                   structured result that fails the independent check falls
-//                   through to the generic chain.
+//  * kAuto        — the chain below.
+//
+// The kAuto chain is one ordered table, one row per method:
+//
+//   row           in the chain when          gate           accept at  batched
+//   level-QBD     structured                 pattern        1e-6       yes
+//   NCD-AD        ncd, n >= ncd min_states   per matrix     tol        no
+//   dense LU      n <= kDenseSolveMaxStates  -              1e-6       yes
+//   Gauss-Seidel  always                     -              tol        no
+//   GMRES         always                     -              10 tol     no
+//   power         always                     -              tol        no
+//
+// Bounds are on the recomputed ||pi Q||_inf relative to max(1, max exit
+// rate). A row outside the chain leaves no trace; a declined gate leaves an
+// attempt carrying its reason. An executed attempt is accepted when it
+// meets its bound and (with certify on) passes the independent
+// certificate; otherwise the chain falls through to the next row. GMRES
+// and power start from the best of the last resorts before them; when
+// nothing passes, the earliest last resort whose residual is <= every
+// later one's is returned, flagged uncertified. An explicit method runs its one row with the gate
+// open. steady_state_batch runs the leading batched rows across all lanes
+// and resumes each lane they did not accept at the next row.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +70,6 @@ enum class SteadyStateMethod {
 
 [[nodiscard]] std::string_view to_string(SteadyStateMethod m) noexcept;
 
-/// Symmetric reordering applied around a solve (PermutedSolve): the system
-/// P·Q·Pᵀ is solved and π unpermuted. kRcm shrinks bandwidth for the
-/// iterative methods' cache locality; it is bandwidth-guarded (falls back
-/// to the natural order when it would not help), so it is never worse.
-enum class SteadyStateReorder { kNone, kRcm };
-
 struct SteadyStateOptions {
   SteadyStateMethod method = SteadyStateMethod::kAuto;
   double tol = 1e-11;       ///< target on ||pi Q||_inf
@@ -77,9 +86,6 @@ struct SteadyStateOptions {
   /// level size); 0 keeps the built-in default. An explicit kLevelQbd
   /// request ignores the gate entirely.
   linalg::index_t structured_max_block = 0;
-  /// Reordering for the solve (see SteadyStateReorder). Off by default:
-  /// the structured path carries its own level permutation internally.
-  SteadyStateReorder reorder = SteadyStateReorder::kNone;
   /// Stamp every attempt with a certificate (true-residual recompute,
   /// non-finite guard, probability-mass check, condition estimate on the
   /// dense-LU path). kAuto escalates on certification failure, not just on
@@ -152,9 +158,10 @@ struct SteadyStateResult {
 /// initial guess chains through the batch exactly like a scalar sweep
 /// (the last converged lane before b, starting from opts.initial_guess).
 /// Certification stays per point: every lane gets its own independently
-/// recomputed certificate, and any lane the batched direct path cannot
-/// accept (singular block, failed certificate, iterative method requested)
-/// falls back to the full scalar kAuto chain for that lane alone.
+/// recomputed certificate, and any lane the batched direct path does not
+/// accept (singular block, failed certificate) resumes the scalar chain at
+/// the next row for that lane alone. Methods without a batched solve run
+/// lane by lane.
 [[nodiscard]] std::vector<SteadyStateResult> steady_state_batch(
     const linalg::CsrValueBatch& vals, const SteadyStateOptions& opts = {});
 

@@ -5,9 +5,15 @@
 #include <span>
 #include <vector>
 
+#include "linalg/coo.hpp"
 #include "linalg/dense.hpp"
 
 namespace tags::linalg {
+
+/// Largest chain the steady-state solvers factor densely (O(n^3) time,
+/// O(n^2) memory). Above it the kAuto chain leaves dense LU out, and NCD
+/// detection starts just past it (NcdOptions::min_states).
+inline constexpr index_t kDenseSolveMaxStates = 1200;
 
 /// Result of lu_factor(). Holds L and U packed in one matrix plus the pivot
 /// permutation; solve() does the forward/back substitution.

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "linalg/csr.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/reorder.hpp"
 
 namespace tags::linalg {
@@ -43,7 +44,7 @@ struct NcdOptions {
   double max_coupling = 0.12;
   /// Gate: below this many states the dense/iterative chain is already
   /// fast; the ctmc layer skips detection entirely (true zero overhead).
-  index_t min_states = 1201;
+  index_t min_states = kDenseSolveMaxStates + 1;
   /// Gate: fewer blocks than this and the coarse solve corrects too little
   /// of the error to beat plain Gauss-Seidel.
   index_t min_blocks = 4;

@@ -1,26 +1,16 @@
-// Common types for the iterative solvers plus a dispatching front-end.
+// The iterative linear solvers and their common types.
 //
-// All solvers solve A x = b for general (square, nonsingular) A in CSR form,
+// Both solve A x = b for general (square, nonsingular) A in CSR form,
 // starting from the caller-supplied initial guess in x. Convergence is
 // declared on the max-norm residual ||b - A x||_inf <= tol.
 #pragma once
 
 #include <span>
-#include <string_view>
 
 #include "linalg/csr.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace tags::linalg {
-
-enum class IterativeMethod {
-  kJacobi,
-  kGaussSeidel,  // forward sweeps; omega != 1 gives SOR
-  kGmres,        // restarted, optional Jacobi (diagonal) preconditioning
-  kBicgstab,
-};
-
-[[nodiscard]] std::string_view to_string(IterativeMethod m) noexcept;
 
 /// Left preconditioner for the Krylov methods.
 enum class Preconditioner {
@@ -48,21 +38,12 @@ struct SolveResult {
   bool diverged = false;
 };
 
-[[nodiscard]] SolveResult jacobi(const CsrMatrix& a, std::span<const double> b,
-                                 Vec& x, const SolveOptions& opts);
-
+/// Forward sweeps; omega != 1 gives SOR.
 [[nodiscard]] SolveResult gauss_seidel(const CsrMatrix& a, std::span<const double> b,
                                        Vec& x, const SolveOptions& opts);
 
+/// Restarted GMRES with optional left preconditioning.
 [[nodiscard]] SolveResult gmres(const CsrMatrix& a, std::span<const double> b,
                                 Vec& x, const SolveOptions& opts);
-
-[[nodiscard]] SolveResult bicgstab(const CsrMatrix& a, std::span<const double> b,
-                                   Vec& x, const SolveOptions& opts);
-
-/// Dispatch on method enum.
-[[nodiscard]] SolveResult solve_iterative(IterativeMethod method, const CsrMatrix& a,
-                                          std::span<const double> b, Vec& x,
-                                          const SolveOptions& opts);
 
 }  // namespace tags::linalg

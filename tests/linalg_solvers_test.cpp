@@ -1,10 +1,12 @@
-// Iterative solver tests: all methods must solve diagonally dominant random
-// systems to tolerance; Krylov methods must also handle nonsymmetric
-// systems that defeat simple relaxation.
+// Iterative solver tests: Gauss-Seidel and GMRES must solve diagonally
+// dominant random systems to tolerance; GMRES must also handle
+// nonsymmetric systems that defeat simple relaxation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <span>
+#include <string>
 #include <tuple>
 
 #include "linalg/solver.hpp"
@@ -33,7 +35,18 @@ CsrMatrix diag_dominant(std::size_t n, unsigned seed) {
   return CsrMatrix::from_coo(coo);
 }
 
-using Case = std::tuple<IterativeMethod, std::size_t>;
+/// The solvers under test. The values are fixed: gtest prints the raw
+/// parameter bytes into each instance's ctest name.
+enum class Method { kGaussSeidel = 1, kGmres = 2 };
+
+const char* name_of(Method m) { return m == Method::kGmres ? "gmres" : "gauss_seidel"; }
+
+SolveResult solve(Method m, const CsrMatrix& a, std::span<const double> b, Vec& x,
+                  const SolveOptions& opts) {
+  return m == Method::kGmres ? gmres(a, b, x, opts) : gauss_seidel(a, b, x, opts);
+}
+
+using Case = std::tuple<Method, std::size_t>;
 
 class SolverTest : public ::testing::TestWithParam<Case> {};
 
@@ -50,8 +63,8 @@ TEST_P(SolverTest, SolvesDiagonallyDominantSystem) {
   Vec x(n, 0.0);
   SolveOptions opts;
   opts.tol = 1e-10;
-  const SolveResult r = solve_iterative(method, a, b, x, opts);
-  EXPECT_TRUE(r.converged) << to_string(method) << " n=" << n
+  const SolveResult r = solve(method, a, b, x, opts);
+  EXPECT_TRUE(r.converged) << name_of(method) << " n=" << n
                            << " residual=" << r.residual;
   EXPECT_NEAR(max_abs_diff(x, x_true), 0.0, 1e-7);
 }
@@ -65,28 +78,23 @@ TEST_P(SolverTest, StartingAtSolutionStaysThere) {
   Vec x = x_true;
   SolveOptions opts;
   opts.tol = 1e-10;
-  const SolveResult r = solve_iterative(method, a, b, x, opts);
+  const SolveResult r = solve(method, a, b, x, opts);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(max_abs_diff(x, x_true), 0.0, 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsAndSizes, SolverTest,
-    ::testing::Combine(::testing::Values(IterativeMethod::kJacobi,
-                                         IterativeMethod::kGaussSeidel,
-                                         IterativeMethod::kGmres,
-                                         IterativeMethod::kBicgstab),
+    ::testing::Combine(::testing::Values(Method::kGaussSeidel, Method::kGmres),
                        ::testing::Values(1, 2, 8, 32, 128, 512)),
     [](const ::testing::TestParamInfo<Case>& info) {
-      std::string name(to_string(std::get<0>(info.param)));
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name + "_n" + std::to_string(std::get<1>(info.param));
+      return std::string(name_of(std::get<0>(info.param))) + "_n" +
+             std::to_string(std::get<1>(info.param));
     });
 
 TEST(SolverEdge, GmresHandlesNonsymmetricNonDominant) {
-  // Small skew system where Jacobi diverges but GMRES is exact in n steps.
+  // Small skew system where relaxation diverges but GMRES is exact in n
+  // steps.
   CooMatrix coo(3, 3);
   coo.add(0, 0, 1.0);
   coo.add(0, 1, 4.0);
@@ -126,16 +134,9 @@ TEST(SolverEdge, IterationBudgetRespected) {
   SolveOptions opts;
   opts.tol = 1e-30;  // unreachable
   opts.max_iter = 5;
-  const SolveResult r = jacobi(a, b, x, opts);
+  const SolveResult r = gauss_seidel(a, b, x, opts);
   EXPECT_FALSE(r.converged);
   EXPECT_LE(r.iterations, 6);
-}
-
-TEST(SolverEdge, MethodNamesRoundTrip) {
-  EXPECT_EQ(to_string(IterativeMethod::kJacobi), "jacobi");
-  EXPECT_EQ(to_string(IterativeMethod::kGaussSeidel), "gauss-seidel");
-  EXPECT_EQ(to_string(IterativeMethod::kGmres), "gmres");
-  EXPECT_EQ(to_string(IterativeMethod::kBicgstab), "bicgstab");
 }
 
 // Regression: a structural zero on the diagonal used to make the sweep

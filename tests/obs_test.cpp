@@ -7,12 +7,15 @@
 #include <cmath>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ctmc/builder.hpp"
 #include "ctmc/steady_state.hpp"
 #include "linalg/solver.hpp"
+#include "models/tags.hpp"
 #include "obs/obs.hpp"
 
 namespace {
@@ -182,6 +185,49 @@ TEST_F(ObsTest, SolverEmitsMonotoneResidualHistory) {
   EXPECT_GT(n_events, 0);
 }
 
+TEST_F(ObsTest, FallbackEventsNameConsecutiveAttempts) {
+  // The rare-timeout square chain with the QBD width gate raised: level-QBD
+  // and NCD-AD both run, and an unreachable residual bound with a small
+  // budget sends the chain through every entry after them. Each fallback
+  // event must name the attempt that failed and the one that ran next.
+  auto sink = std::make_shared<obs::MemorySink>();
+  obs::install_trace_sink(sink, /*sample_every=*/1);
+  obs::set_level(obs::Level::kTrace);
+
+  models::TagsParams p;
+  p.t = 0.4;
+  const models::TagsModel model(p);
+  ctmc::SteadyStateOptions opts;
+  opts.structured_max_block = model.n_states();
+  opts.certify_opts.residual_bound = 1e-300;
+  opts.max_iter = 50;
+  const auto res = ctmc::steady_state(model.chain().generator(), opts);
+
+  std::vector<std::string> executed;
+  for (const auto& a : res.attempts) {
+    if (a.gate_reason.empty()) executed.emplace_back(ctmc::to_string(a.method));
+  }
+  ASSERT_GE(executed.size(), 3u);
+  EXPECT_EQ(executed[0], "level-qbd");
+  EXPECT_EQ(executed[1], "ncd-ad");
+
+  std::vector<std::pair<std::string, std::string>> hops;
+  for (const auto& ev : sink->events()) {
+    if (ev.name != "steady_state.fallback") continue;
+    std::string from, to;
+    for (const auto& [k, v] : ev.str) {
+      if (k == "from") from = v;
+      if (k == "to") to = v;
+    }
+    hops.emplace_back(from, to);
+  }
+  ASSERT_EQ(hops.size(), executed.size() - 1);
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    EXPECT_EQ(hops[i].first, executed[i]) << "event " << i;
+    EXPECT_EQ(hops[i].second, executed[i + 1]) << "event " << i;
+  }
+}
+
 TEST_F(ObsTest, NoTraceEventsWhenTracingOff) {
   auto sink = std::make_shared<obs::MemorySink>();
   obs::install_trace_sink(sink, /*sample_every=*/1);
@@ -243,8 +289,9 @@ TEST(SolveResultExtensions, RelativeResidualScalesWithB) {
 }
 
 TEST(SolveResultExtensions, DivergenceFlaggedOnBlowup) {
-  // Jacobi diverges when the iteration matrix has spectral radius > 1:
-  // strong off-diagonal coupling does it.
+  // Gauss-Seidel diverges when the iteration matrix has spectral radius
+  // > 1: strong off-diagonal coupling does it (here each sweep amplifies
+  // the error 9x).
   linalg::CooMatrix coo(2, 2);
   coo.add(0, 0, 1.0);
   coo.add(0, 1, 3.0);
@@ -255,7 +302,7 @@ TEST(SolveResultExtensions, DivergenceFlaggedOnBlowup) {
   linalg::Vec x{5.0, -5.0};
   linalg::SolveOptions opts;
   opts.max_iter = 200;
-  const auto r = linalg::jacobi(a, b, x, opts);
+  const auto r = linalg::gauss_seidel(a, b, x, opts);
   EXPECT_FALSE(r.converged);
   EXPECT_TRUE(r.diverged);
 }

@@ -7,10 +7,12 @@
 // sharing a batch with healthy ones.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "approx/optimizer.hpp"
@@ -127,6 +129,12 @@ std::vector<ctmc::SteadyStateResult> batch_solve(
   return ctmc::steady_state_batch(*vals, opts);
 }
 
+std::uint64_t bits_of(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
 void expect_results_identical(const std::vector<ctmc::SteadyStateResult>& scalar,
                               const std::vector<ctmc::SteadyStateResult>& batched) {
   ASSERT_EQ(scalar.size(), batched.size());
@@ -135,14 +143,20 @@ void expect_results_identical(const std::vector<ctmc::SteadyStateResult>& scalar
     EXPECT_EQ(scalar[b].converged, batched[b].converged);
     EXPECT_EQ(scalar[b].method_used, batched[b].method_used);
     EXPECT_EQ(scalar[b].iterations, batched[b].iterations);
-    EXPECT_EQ(scalar[b].attempts.size(), batched[b].attempts.size());
     EXPECT_TRUE(same_bits(scalar[b].pi, batched[b].pi));
-    std::uint64_t ra = 0;
-    std::uint64_t rb = 0;
-    std::memcpy(&ra, &scalar[b].residual, sizeof ra);
-    std::memcpy(&rb, &batched[b].residual, sizeof rb);
-    EXPECT_EQ(ra, rb);
+    EXPECT_EQ(bits_of(scalar[b].residual), bits_of(batched[b].residual));
     EXPECT_EQ(scalar[b].certificate.ok(), batched[b].certificate.ok());
+    ASSERT_EQ(scalar[b].attempts.size(), batched[b].attempts.size());
+    for (std::size_t i = 0; i < scalar[b].attempts.size(); ++i) {
+      SCOPED_TRACE("attempt " + std::to_string(i));
+      const ctmc::SteadyStateAttempt& sa = scalar[b].attempts[i];
+      const ctmc::SteadyStateAttempt& ba = batched[b].attempts[i];
+      EXPECT_EQ(sa.method, ba.method);
+      EXPECT_EQ(sa.gate_reason, ba.gate_reason);
+      EXPECT_EQ(sa.iterations, ba.iterations);
+      EXPECT_EQ(sa.converged, ba.converged);
+      EXPECT_EQ(bits_of(sa.residual), bits_of(ba.residual));
+    }
   }
 }
 
@@ -241,6 +255,31 @@ TEST(SweepBatch, IterativeFallbackMatchesScalarSequence) {
       scalar_chain<models::TagsModel>(reduced_model(), ts, opts);
   const auto batched = batch_solve<models::TagsModel>(reduced_model(), ts, opts);
   expect_results_identical(scalar, batched);
+
+  // Lanes the batched entry rejects resume the scalar chain at the next
+  // entry. A condition limit of 1 fails every dense-LU certificate, so each
+  // lane goes on to warm-started Gauss-Seidel; an unreachable residual
+  // bound walks each lane past level-QBD through the whole chain.
+  ctmc::SteadyStateOptions dense_rejected;
+  dense_rejected.structured = false;
+  dense_rejected.certify_opts.condition_limit = 1.0;
+  ctmc::SteadyStateOptions exhausted;
+  exhausted.certify_opts.residual_bound = 1e-300;
+  exhausted.max_iter = 300;
+  for (const auto& [first, o] :
+       {std::pair{ctmc::SteadyStateMethod::kDenseLu, dense_rejected},
+        std::pair{ctmc::SteadyStateMethod::kLevelQbd, exhausted}}) {
+    SCOPED_TRACE(std::string(ctmc::to_string(first)));
+    const auto s = scalar_chain<models::TagsModel>(reduced_model(), ts, o);
+    const auto b = batch_solve<models::TagsModel>(reduced_model(), ts, o);
+    expect_results_identical(s, b);
+    for (const auto& r : b) {
+      ASSERT_GE(r.attempts.size(), 2u);
+      EXPECT_EQ(r.attempts.front().method, first);
+      EXPECT_TRUE(r.attempts.front().gate_reason.empty());
+      EXPECT_NE(r.method_used, first);
+    }
+  }
 }
 
 TEST(SweepBatch, BatchedLuMatchesScalarFactorization) {
