@@ -354,12 +354,10 @@ ScenarioOutcome ScenarioSlot::evaluate(const ScenarioRequest& req,
     }
   }
 
-  // Overlay the slot's warm-start guess — and its NCD partition cache,
-  // which is slot state exactly like the guess — on the caller's solver
-  // options. A caller-supplied cache wins (they own the sharing policy).
+  // Overlay the slot's warm-start guess on the caller's solver options.
+  // The model's solve hands its own aggregation partition to kAuto.
   ctmc::SteadyStateOptions next = opts;
   next.initial_guess.swap(s.warm.opts.initial_guess);
-  if (!next.ncd_cache) next.ncd_cache = std::move(s.warm.opts.ncd_cache);
   s.warm.opts = std::move(next);
   s.warm.reconcile(s.active->n_states());
   ctmc::SteadyStateResult solved = s.active->solve(s.warm.opts);

@@ -107,6 +107,9 @@ void GeneratorCtmc::assemble(const GeneratorModel& model) {
   max_exit_rate_ = max_exit;
   q_ = linalg::CsrBuilderAccess::adopt(n, n, std::move(row_ptr), std::move(col),
                                        std::move(val));
+  std::vector<index_t> key = model.aggregation_key();
+  assert(key.empty() || key.size() == static_cast<std::size_t>(n));
+  blocks_ = linalg::partition_by_key(std::move(key));
   obs::count("ctmc.generator.assembles");
 }
 

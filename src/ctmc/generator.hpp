@@ -4,7 +4,8 @@
 // repopulates the rate values on the frozen sparsity pattern (see the
 // rebinding contract in generator_model.hpp), which turns the per-point
 // cost of a rate sweep from "re-enumerate the state space" into "one pass
-// over the non-zeros".
+// over the non-zeros". The model's aggregation key becomes a block
+// partition at assembly; it reads no rate, so rebind() keeps it.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 
 #include "ctmc/ctmc.hpp"
 #include "ctmc/generator_model.hpp"
+#include "linalg/ncd.hpp"
 
 namespace tags::ctmc {
 
@@ -44,6 +46,12 @@ class GeneratorCtmc {
   [[nodiscard]] const linalg::CsrMatrix& generator() const noexcept { return q_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return q_.nnz(); }
 
+  /// The block partition of the model's aggregation key, or nullptr when
+  /// the model supplies none. Pass it to steady_state with generator().
+  [[nodiscard]] const linalg::NcdPartition* partition() const noexcept {
+    return blocks_.n_blocks() > 0 ? &blocks_ : nullptr;
+  }
+
   /// All interned label names; index = label_t. Entry 0 is "tau".
   [[nodiscard]] const std::vector<std::string>& label_names() const noexcept {
     return label_names_;
@@ -72,6 +80,7 @@ class GeneratorCtmc {
  private:
   index_t n_ = 0;
   linalg::CsrMatrix q_;
+  linalg::NcdPartition blocks_;
   double max_exit_rate_ = 0.0;
   std::vector<std::string> label_names_;
   std::vector<std::vector<StateRate>> rewards_;  // indexed by label_t

@@ -64,6 +64,13 @@ class GeneratorModel {
 
   /// Emit every outgoing transition of `state`, in a deterministic order.
   virtual void for_each_transition(index_t state, const TransitionSink& emit) const = 0;
+
+  /// Aggregation key per state, for the NCD-AD solver's blocks: states with
+  /// equal keys share a block. A model keys a state by its queue lengths (a
+  /// small non-negative mixed-radix code). Must depend only on structural
+  /// parameters, like the emission pattern. Empty (the default): no key,
+  /// and the chain is never solved by aggregation.
+  [[nodiscard]] virtual std::vector<index_t> aggregation_key() const { return {}; }
 };
 
 }  // namespace tags::ctmc

@@ -126,8 +126,9 @@ SolveResult gmres(const CsrMatrix& a, std::span<const double> b, Vec& x,
                              start_ns, note);
       return res;
     }
-    if (beta == 0.0) break;  // preconditioned residual exactly zero but true
-                             // residual above tol: cannot improve further
+    // A preconditioned residual of exactly zero with the true residual above
+    // tol cannot improve further; a non-finite one never will.
+    if (beta == 0.0 || !std::isfinite(res.residual)) break;
 
     copy(r, v[0]);
     scale(1.0 / beta, v[0]);

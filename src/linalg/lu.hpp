@@ -11,8 +11,8 @@
 namespace tags::linalg {
 
 /// Largest chain the steady-state solvers factor densely (O(n^3) time,
-/// O(n^2) memory). Above it the kAuto chain leaves dense LU out, and NCD
-/// detection starts just past it (NcdOptions::min_states).
+/// O(n^2) memory). Above it the kAuto chain leaves dense LU out, and the NCD
+/// row starts just past it (NcdOptions::min_states).
 inline constexpr index_t kDenseSolveMaxStates = 1200;
 
 /// Result of lu_factor(). Holds L and U packed in one matrix plus the pivot

@@ -1,136 +1,91 @@
-// Near-complete-decomposability (NCD) detection and the iterative
-// aggregation-disaggregation (IAD) steady-state solver.
+// Iterative aggregation-disaggregation (IAD) on a structural block
+// partition of a CTMC.
 //
-// A CTMC is nearly completely decomposable when its states cluster into
-// blocks whose internal transition rates dwarf the rates crossing between
-// blocks (Courtois). On such chains the classic KMS iteration — censored
-// per-block Gauss-Seidel sweeps feeding a dense solve of the block-count-
-// sized coupling chain — contracts the error by roughly the coupling ratio
-// per outer pass, orders of magnitude faster than sweeping the flat chain.
+// The classic KMS iteration alternates censored per-block Gauss-Seidel
+// sweeps with a solve of the block-count-sized coupling chain. It contracts
+// the error fastest when the blocks are nearly completely decomposable
+// (Courtois), but it also pays on chains that are not: a coarse solve per
+// pass corrects the slow, long-range error modes that flat Gauss-Seidel
+// needs thousands of sweeps to move.
 //
-// Detection runs on the frozen CSR pattern: strongly-coupled components are
-// the connected components of the symmetrised graph restricted to edges
-// with rate >= epsilon * scale (scale = largest exit rate), the same
-// undirected traversal bfs_levels uses. The partition is cached rebind-aware
-// exactly like CsrMatrix's transpose cache: a value rebind on the frozen
-// pattern reuses the partition and merely re-evaluates the profitability
-// gate against the fresh rates.
+// The partition comes from the model, not from the rates: a
+// GeneratorModel names an aggregation key per state (for the TAGS models,
+// the queue-length pair (q1, q2) — the numerical state vector of Ding &
+// Hillston), and GeneratorCtmc turns it into an NcdPartition once at
+// assembly. The partition reads no rate, so it survives every value rebind
+// of a sweep. The solver works in place on the unpermuted chain: blocks
+// are lists of state indices, and the sweeps and the coarse matrix both
+// read the Q^T that the flat Gauss-Seidel solver already caches. The
+// coarse chain is solved by Grassmann-Taksar-Heyman elimination.
 //
-// The ctmc layer registers this as SteadyStateMethod::kNcdAd behind the
-// gate; everything here is plain linear algebra on a generator Q.
+// The ctmc layer registers this as SteadyStateMethod::kNcdAd behind a
+// structural gate; everything here is plain linear algebra on a generator Q.
 #pragma once
 
 #include <limits>
-#include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "linalg/csr.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/reorder.hpp"
 
 namespace tags::linalg {
 
-/// Detection and profitability knobs. Thresholds are relative to the
-/// chain's largest exit rate, so the gate is invariant under uniform
-/// time rescaling.
+/// The structural gate the ctmc layer applies to a partition.
 struct NcdOptions {
-  /// An edge is "strong" when its rate is >= epsilon * max exit rate;
-  /// blocks are the connected components of the strong-edge graph.
-  double epsilon = 0.05;
-  /// Gate: largest per-state inter-block outflow divided by the max exit
-  /// rate. Above this the chain is not meaningfully decomposable and the
-  /// aggregation step stops paying for itself.
-  double max_coupling = 0.12;
-  /// Gate: below this many states the dense/iterative chain is already
-  /// fast; the ctmc layer skips detection entirely (true zero overhead).
+  /// Below this many states the dense/iterative chain is already fast; the
+  /// ctmc layer leaves the NCD row out entirely (true zero overhead).
   index_t min_states = kDenseSolveMaxStates + 1;
-  /// Gate: fewer blocks than this and the coarse solve corrects too little
-  /// of the error to beat plain Gauss-Seidel.
-  index_t min_blocks = 4;
-  /// Gate: the coarse chain is solved by dense LU, cubic in block count.
+  /// The coarse chain is stored densely (blocks^2 doubles) and eliminated
+  /// inside its envelope, up to cubic in block count.
   index_t max_blocks = 512;
-  /// Gate: one block holding more than this fraction of all states means
-  /// the sweeps are effectively flat Gauss-Seidel with extra bookkeeping.
+  /// One block holding more than this fraction of all states means the
+  /// sweeps are effectively flat Gauss-Seidel with extra bookkeeping.
   double max_block_fraction = 0.5;
 };
 
-/// A block partition of the chain plus the gate verdict for the rates it
-/// was last evaluated against.
+/// A block partition of the chain's states. Pattern-only: it depends on
+/// the state space, never on the rates.
 struct NcdPartition {
-  /// New-to-old map placing blocks contiguously, ordered by their smallest
-  /// original state, states ascending within each block (deterministic).
-  Permutation perm;
-  /// Block I occupies permuted rows [block_ptr[I], block_ptr[I+1]).
+  /// Block I's states are states[block_ptr[I] .. block_ptr[I+1]),
+  /// ascending. Blocks are ordered by their smallest state.
   std::vector<index_t> block_ptr;
-  /// Block id per ORIGINAL state index.
+  std::vector<index_t> states;
+  /// Block id per state.
   std::vector<index_t> block_of;
   index_t max_block = 0;
-  /// Largest exit rate — the scale the thresholds are relative to.
-  double scale = 0.0;
-  /// max over states of (inter-block outflow / scale) — the NCD coupling
-  /// estimate deciding profitability.
-  double coupling = 0.0;
-  /// At least two blocks under the epsilon threshold.
-  bool decomposable = false;
-  /// Decomposable AND every gate bound holds for the current rates.
-  bool profitable = false;
-  /// Why not profitable; "" when profitable. Static strings only.
-  const char* gate_reason = "";
 
   [[nodiscard]] std::size_t n_blocks() const noexcept {
     return block_ptr.empty() ? 0 : block_ptr.size() - 1;
   }
 };
 
-/// Partition q's states into strongly-coupled components and evaluate the
-/// profitability gate. Deterministic; O(n + nnz).
-[[nodiscard]] NcdPartition detect_ncd(const CsrMatrix& q, const NcdOptions& opts = {});
-
-/// Re-evaluate scale, coupling, profitable and gate_reason against q's
-/// CURRENT values, keeping the partition itself. This is the rebind path:
-/// the strong/weak split is a property of the operating point, but a sweep
-/// moving one rate slightly rarely changes the component structure, and a
-/// stale partition only costs convergence speed — never correctness, since
-/// every solve is certified against the true residual downstream.
-void evaluate_ncd_gate(const CsrMatrix& q, NcdPartition& p, const NcdOptions& opts);
-
-/// Rebind-aware partition cache, modelled on CsrMatrix's transpose cache:
-/// keyed on (rows, nnz, epsilon). A hit reuses the partition and re-runs
-/// only the O(nnz) gate evaluation; any key change re-detects. One cache
-/// per sweep shard / warm-start slot — not thread-safe, by design, like
-/// the warm-start state it travels with.
-class NcdPartitionCache {
- public:
-  const NcdPartition& partition(const CsrMatrix& q, const NcdOptions& opts);
-
- private:
-  NcdPartition part_;
-  index_t rows_ = -1;
-  std::size_t nnz_ = 0;
-  double epsilon_ = 0.0;
-  bool valid_ = false;
-};
+/// One block per distinct key: states i and j share a block iff
+/// key[i] == key[j]. Keys are non-negative codes of small range (a
+/// mixed-radix code of the queue lengths). Deterministic; O(n + max key).
+[[nodiscard]] NcdPartition partition_by_key(std::vector<index_t> key);
 
 struct NcdSolveOptions {
   /// Absolute target on ||pi Q||_inf — callers pre-scale by their own
   /// max-exit convention.
   double tol = 1e-11;
-  /// Outer aggregation/disaggregation passes before giving up.
-  int max_outer = 120;
+  /// Work budget in sweep-equivalents (see NcdSolveResult::sweeps).
+  int max_sweeps = 200000;
   /// Censored Gauss-Seidel sweeps per block per outer pass.
   int inner_sweeps = 2;
-  /// Warm start in ORIGINAL state order; ignored unless it has q.rows()
-  /// entries with positive mass. Carries the previous operating point's
-  /// block solutions and coarse vector implicitly.
-  std::optional<Vec> initial_guess;
+  /// Warm start; ignored unless it has q.rows() entries with positive
+  /// mass. Carries the previous operating point's block solutions and
+  /// coarse vector implicitly.
+  std::span<const double> initial_guess;
 };
 
 struct NcdSolveResult {
-  /// Stationary distribution in ORIGINAL state order; empty on bailout.
+  /// Stationary distribution; empty on bailout.
   Vec pi;
   int outer = 0;
-  /// Total censored block sweeps performed.
+  /// Work done, in passes over Q's non-zeros: per outer pass the block
+  /// sweeps, one for aggregation and one for the residual, plus the coarse
+  /// solve's multiply-adds divided by nnz (rounded up).
   int sweeps = 0;
   double residual = std::numeric_limits<double>::infinity();
   bool converged = false;
@@ -138,9 +93,11 @@ struct NcdSolveResult {
 
 /// KMS iterative aggregation-disaggregation for pi Q = 0, sum(pi) = 1.
 /// Requires a partition of q with >= 2 blocks (profitability is the
-/// caller's policy; correctness only needs the block structure). Bails out
-/// unconverged — never poisons — on zero diagonals, singular coarse
-/// matrices, or vanishing mass.
+/// caller's policy; correctness only needs the block structure). Stops at
+/// convergence, at a non-finite residual, when the residual has not set a
+/// new low for a while (stagnation), or at the sweep budget. Bails out
+/// unconverged — never poisons — on zero diagonals, a reducible coarse
+/// chain, or vanishing mass.
 [[nodiscard]] NcdSolveResult ncd_steady_state(const CsrMatrix& q, const NcdPartition& p,
                                               const NcdSolveOptions& opts = {});
 

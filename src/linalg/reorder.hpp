@@ -1,7 +1,6 @@
-// Symmetric permutations of sparse matrices and BFS level sets. The
-// structured steady-state path uses the BFS level decomposition to expose
-// the block-tridiagonal (QBD) shape of bounded-queue generators, and the
-// NCD solver permutes each block into a contiguous range.
+// BFS level sets. The structured steady-state path uses the BFS level
+// decomposition to expose the block-tridiagonal (QBD) shape of
+// bounded-queue generators.
 //
 // All orderings are deterministic: ties break on state index, never on
 // traversal or thread interleaving, so permutations — and everything solved
@@ -46,14 +45,5 @@ struct LevelDecomposition {
 };
 
 [[nodiscard]] LevelDecomposition bfs_levels(const CsrMatrix& q);
-
-/// B = P A P^T under the new-to-old convention: B(i, j) = A(order[i], order[j]).
-[[nodiscard]] CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p);
-
-/// y[k] = x[order[k]] — carry a vector into the permuted system.
-void permute_vector(const Permutation& p, std::span<const double> x, std::span<double> y);
-
-/// y[order[k]] = x[k] — carry a permuted-system vector (e.g. π) back.
-void unpermute_vector(const Permutation& p, std::span<const double> x, std::span<double> y);
 
 }  // namespace tags::linalg

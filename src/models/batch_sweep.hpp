@@ -76,7 +76,7 @@ void batched_t_chain(const Params& base, const std::vector<double>& t_values,
     }
     const std::vector<ctmc::SteadyStateResult> solved = [&] {
       const obs::ScopedTimer solve_timer("solve");
-      return ctmc::steady_state_batch(*vals, opts);
+      return ctmc::steady_state_batch(*vals, opts, model->chain().partition());
     }();
     for (std::size_t b = 0; b < bw; ++b) {
       warm.reconcile(model->n_states());

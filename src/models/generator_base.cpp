@@ -5,7 +5,7 @@
 namespace tags::models {
 
 ctmc::SteadyStateResult SolvableModel::solve(const ctmc::SteadyStateOptions& opts) const {
-  return ctmc::steady_state(engine_.generator(), opts);
+  return ctmc::steady_state(engine_.generator(), opts, engine_.partition());
 }
 
 Metrics SolvableModel::metrics(const ctmc::SteadyStateOptions& opts) const {

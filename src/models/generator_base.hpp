@@ -12,7 +12,10 @@
 //     generator_model.hpp).
 //  3. Implement measure_spec() mapping states to queue lengths and labels
 //     to service/loss events.
-//  4. Call assemble() at the end of the constructor; expose a
+//  4. Optionally override aggregation_key() with the state's queue lengths
+//     (one block per tuple); kAuto then tries aggregation-disaggregation
+//     on those blocks before Gauss-Seidel.
+//  5. Call assemble() at the end of the constructor; expose a
 //     rebind(params) that validates structural parameters and calls
 //     rebind_rates() for cheap rate sweeps.
 #pragma once
@@ -36,7 +39,8 @@ class SolvableModel : public GeneratorModel {
   [[nodiscard]] const ctmc::GeneratorCtmc& chain() const noexcept { return engine_; }
   [[nodiscard]] ctmc::index_t n_states() const noexcept { return engine_.n_states(); }
 
-  /// Stationary solve (for warm-started parameter sweeps).
+  /// Stationary solve (for warm-started parameter sweeps). Hands the
+  /// model's aggregation partition, if any, to kAuto with the generator.
   [[nodiscard]] ctmc::SteadyStateResult solve(
       const ctmc::SteadyStateOptions& opts = {}) const;
 

@@ -134,6 +134,15 @@ void TagsModel::for_each_transition(ctmc::index_t state,
   }
 }
 
+std::vector<ctmc::index_t> TagsModel::aggregation_key() const {
+  std::vector<ctmc::index_t> key(static_cast<std::size_t>(state_space_size()));
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    const State s = decode(static_cast<ctmc::index_t>(i));
+    key[i] = static_cast<ctmc::index_t>(s.q1) * (params_.k2 + 1) + s.q2;
+  }
+  return key;
+}
+
 ctmc::MeasureSpec TagsModel::measure_spec() const {
   ctmc::MeasureSpec spec;
   spec.queue1 = [this](ctmc::index_t i) { return static_cast<double>(decode(i).q1); };

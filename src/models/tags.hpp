@@ -72,6 +72,8 @@ class TagsModel : public SolvableModel {
   [[nodiscard]] const std::vector<std::string>& transition_labels() const override;
   void for_each_transition(ctmc::index_t state,
                            const TransitionSink& emit) const override;
+  /// (q1, q2): (K1+1)(K2+1) blocks, 121 at K = 10.
+  [[nodiscard]] std::vector<ctmc::index_t> aggregation_key() const override;
 
  protected:
   [[nodiscard]] ctmc::MeasureSpec measure_spec() const override;

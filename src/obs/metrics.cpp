@@ -500,13 +500,10 @@ std::string metrics_json(const std::string& id) {
   w.end_object();
 
   // Schema v5: the NCD aggregation-disaggregation section — the ncd.*
-  // counters under stable field names (all-zero when no solve crossed the
-  // detection threshold in this process).
+  // counters under stable field names (all-zero when no solve reached the
+  // NCD-AD row in this process).
   w.key("ncd");
   w.begin_object();
-  w.field("partitions_built", counter_by_name("ncd.partitions_built"));
-  w.field("cache_hits", counter_by_name("ncd.cache.hits"));
-  w.field("cache_invalidated", counter_by_name("ncd.cache.invalidated"));
   w.field("gate_accepts", counter_by_name("ncd.gate.accepts"));
   w.field("gate_rejects", counter_by_name("ncd.gate.rejects"));
   w.field("solves", counter_by_name("ncd.solves"));
@@ -629,9 +626,6 @@ std::string metrics_json(const std::string& id) {
   w.end_object();
   w.key("ncd");
   w.begin_object();
-  w.field("partitions_built", static_cast<std::int64_t>(0));
-  w.field("cache_hits", static_cast<std::int64_t>(0));
-  w.field("cache_invalidated", static_cast<std::int64_t>(0));
   w.field("gate_accepts", static_cast<std::int64_t>(0));
   w.field("gate_rejects", static_cast<std::int64_t>(0));
   w.field("solves", static_cast<std::int64_t>(0));

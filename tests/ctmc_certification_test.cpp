@@ -95,6 +95,9 @@ TEST(Certification, AutoEscalatesWhenCertificationFails) {
 TEST(Certification, PoisonedGeneratorNeverCertifies) {
   // A NaN rate propagates into every solve; whatever the chain returns as
   // "best attempt" must carry a failed certificate, never a clean one.
+  // Every iterative attempt must also stop at its first residual check
+  // rather than spend the default 200 000-iteration budget on a residual
+  // that can never become finite.
   linalg::CooMatrix coo(2, 2);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   coo.add(0, 1, nan);
@@ -102,17 +105,26 @@ TEST(Certification, PoisonedGeneratorNeverCertifies) {
   coo.add(1, 0, 1.0);
   coo.add(1, 1, -1.0);
   const linalg::CsrMatrix q = linalg::CsrMatrix::from_coo(coo);
-  SteadyStateOptions opts;
-  opts.max_iter = 200;  // the chain cannot converge; don't burn the budget
 #if TAGS_OBS_ENABLED
   obs::Counter uncertified("numerics.steady_state.uncertified_returns");
   const std::uint64_t before = uncertified.value();
 #endif
-  const auto res = ctmc::steady_state(q, opts);
+  const auto res = ctmc::steady_state(q, {});
   EXPECT_FALSE(res.certificate.ok());
 #if TAGS_OBS_ENABLED
   EXPECT_GE(uncertified.value(), before + 1);
 #endif
+  // Gauss-Seidel and power check the residual every 16 sweeps, GMRES after
+  // its first matrix-vector product; the direct solvers run once.
+  int iterative = 0;
+  for (const auto& a : res.attempts) {
+    if (!a.gate_reason.empty()) continue;
+    const bool sweeps = a.method == SteadyStateMethod::kGaussSeidel ||
+                        a.method == SteadyStateMethod::kPower;
+    EXPECT_LE(a.iterations, sweeps ? 16 : 1) << ctmc::to_string(a.method);
+    if (sweeps || a.method == SteadyStateMethod::kGmres) ++iterative;
+  }
+  EXPECT_EQ(iterative, 3);
 }
 
 #if TAGS_OBS_ENABLED

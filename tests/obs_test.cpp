@@ -201,7 +201,8 @@ TEST_F(ObsTest, FallbackEventsNameConsecutiveAttempts) {
   opts.structured_max_block = model.n_states();
   opts.certify_opts.residual_bound = 1e-300;
   opts.max_iter = 50;
-  const auto res = ctmc::steady_state(model.chain().generator(), opts);
+  const auto res =
+      ctmc::steady_state(model.chain().generator(), opts, model.chain().partition());
 
   std::vector<std::string> executed;
   for (const auto& a : res.attempts) {

@@ -54,10 +54,8 @@ failed or interrupted export, never a legitimate document.
               "decode_failures": int, "lookups": int, "lookup_hits": int,
               "shards_journaled": int, "shards_resumed": int,
               "cache_loaded": int, "records": num, "bytes": num},  # v4+
-    "ncd": {"partitions_built": int, "cache_hits": int,
-            "cache_invalidated": int, "gate_accepts": int,
-            "gate_rejects": int, "solves": int, "fallthroughs": int,
-            "sweeps": int},                                  # v5 only
+    "ncd": {"gate_accepts": int, "gate_rejects": int, "solves": int,
+            "fallthroughs": int, "sweeps": int},             # v5 only
   }
 
 Span entries are additionally checked for causal consistency: ids unique
@@ -103,9 +101,6 @@ STORE_FIELDS = (
 )
 
 NCD_FIELDS = (
-    ("partitions_built", int),
-    ("cache_hits", int),
-    ("cache_invalidated", int),
     ("gate_accepts", int),
     ("gate_rejects", int),
     ("solves", int),
